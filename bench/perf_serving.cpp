@@ -1,5 +1,5 @@
-// Serving-path performance: tree-walk Ensemble vs serve::CompiledModel vs
-// zero-copy serve::MappedModel.
+// Serving-path performance: tree-walk Ensemble vs serve::CompiledModel, as
+// an owned (compiled) v3 image and as a zero-copy mapping of the file.
 //
 // Measures estimates/sec over the full workload suite for three modes —
 // the train-time object graph evaluated serially (the pre-serve baseline),
@@ -9,8 +9,9 @@
 // latency of the mmap path, and emits everything as BENCH_serving.json.
 //
 // Hard contracts verified on every run:
-//  * bit-identity: the compiled AND mapped single/batch paths (at 1, 4,
-//    and 8 threads) must reproduce Ensemble::estimate exactly — same
+//  * bit-identity: the owned AND mapped images (the same bytes) must
+//    reproduce Ensemble::estimate exactly on the single and batch paths (at
+//    1, 4, and 8 threads) — same
 //    throughput bits, ranking order, sample counts, and skip reasons;
 //  * the binary-load + compile floor: standing up a serving instance from
 //    the v2 artifact must take <= 0.1 s (full mode; --smoke skips timing
@@ -59,7 +60,6 @@
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
 #include "serve/compiled_model.h"
-#include "serve/mapped_model.h"
 #include "serve/model_v3.h"
 #include "serve/profile_bin.h"
 #include "spire/model_io.h"
@@ -196,31 +196,26 @@ int main(int argc, char** argv) {
       views.size(), compiled.metric_count(), compiled.piece_count(), hardware,
       exec.threads, smoke ? " [smoke]" : "");
 
-  // --- bit-identity: compiled and mapped, single and batch at 1/4/8 -------
+  // --- bit-identity: owned and mapped images, single and batch at 1/4/8 ---
   const std::string v3_path = bench::cache_dir() + "/serving_model.v3.bin";
   serve::save_model_v3_file(ensemble, v3_path);
-  const auto mapped = serve::MappedModel::map_file(v3_path);
+  const auto mapped = serve::CompiledModel::map_file(v3_path);
   std::vector<model::Estimate> reference;
   reference.reserve(views.size());
   for (const auto& view : views) reference.push_back(ensemble.estimate(view));
-  std::vector<model::Estimate> single;
-  std::vector<model::Estimate> mapped_single;
-  single.reserve(views.size());
-  mapped_single.reserve(views.size());
-  for (const auto& view : views) single.push_back(compiled.estimate(view));
-  for (const auto& view : views) {
-    mapped_single.push_back(mapped.estimate(view));
+  bool bit_identical = compiled.bytes() == mapped.bytes();
+  for (const serve::CompiledModel* image : {&compiled, &mapped}) {
+    std::vector<model::Estimate> single;
+    single.reserve(views.size());
+    for (const auto& view : views) single.push_back(image->estimate(view));
+    bit_identical &= identical(reference, single);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
+                                      std::size_t{8}}) {
+      bit_identical &= identical(
+          reference, image->estimate_batch(views, util::ExecOptions{threads}));
+    }
   }
-  bool bit_identical =
-      identical(reference, single) && identical(reference, mapped_single);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
-                                    std::size_t{8}}) {
-    bit_identical &= identical(
-        reference, compiled.estimate_batch(views, util::ExecOptions{threads}));
-    bit_identical &= identical(
-        reference, mapped.estimate_batch(views, util::ExecOptions{threads}));
-  }
-  std::printf("bit-identical to Ensemble::estimate (compiled + mmap): %s\n",
+  std::printf("bit-identical to Ensemble::estimate (owned + mapped image): %s\n",
               bit_identical ? "yes" : "NO");
 
   // --- artifact load times -------------------------------------------------
@@ -312,7 +307,7 @@ int main(int argc, char** argv) {
       bench::cache_dir() + "/serving_fleet.v3.bin";
   model::save_model_bin_file(fleet, fleet_bin_path);
   serve::save_model_v3_file(fleet, fleet_v3_path);
-  const auto fleet_mapped = serve::MappedModel::map_file(fleet_v3_path);
+  const auto fleet_mapped = serve::CompiledModel::map_file(fleet_v3_path);
   const bool fleet_identical =
       identical({fleet_compiled.estimate(views.front())},
                 {fleet_mapped.estimate(views.front())});
@@ -320,9 +315,9 @@ int main(int argc, char** argv) {
   const double bin_load_median_s = median_seconds(
       load_reps, [&] { (void)model::load_model_bin_file(fleet_bin_path); });
   const double mmap_load_s = median_seconds(
-      load_reps, [&] { (void)serve::MappedModel::map_file(fleet_v3_path); });
+      load_reps, [&] { (void)serve::CompiledModel::map_file(fleet_v3_path); });
   const double cold_estimate_s = median_seconds(load_reps, [&] {
-    const auto fresh = serve::MappedModel::map_file(fleet_v3_path);
+    const auto fresh = serve::CompiledModel::map_file(fleet_v3_path);
     (void)fresh.estimate(views.front());
   });
   const double warm_estimate_s = median_seconds(
@@ -333,7 +328,7 @@ int main(int argc, char** argv) {
       "cold start at fleet scale (%zu pieces, v3 %zu bytes): v2 deserialize "
       "%.6f s, v3 mmap open %.6f s (%.1fx), first estimate cold %.6f s / "
       "warm %.6f s\n",
-      fleet_compiled.piece_count(), fleet_mapped.file_size(),
+      fleet_compiled.piece_count(), fleet_mapped.bytes().size(),
       bin_load_median_s, mmap_load_s, mmap_ratio, cold_estimate_s,
       warm_estimate_s);
 
@@ -405,9 +400,9 @@ int main(int argc, char** argv) {
       fleet_compiled.piece_count(), fleet_scalar_eps, fleet_kernel_eps,
       fleet_kernel_ratio, kernel_identical ? "yes" : "NO");
 
-  // The lookup-bound model is compile-only (never serialized: its v3
-  // artifact would be tens of MB of disk traffic that measures the
-  // filesystem, not the kernel).
+  // The lookup-bound model is compile-only (an owned image, never written
+  // to disk: its v3 artifact would be tens of MB of disk traffic that
+  // measures the filesystem, not the kernel).
   const auto lookup_compiled =
       serve::CompiledModel::compile(fleet_scale(ensemble, smoke ? 200 : 9600));
   const auto lookup_tables = lookup_compiled.tables();
@@ -522,7 +517,7 @@ int main(int argc, char** argv) {
        << ", \"csv_inplace_per_s\": " << inplace_pps
        << ", \"profile_bin_view_per_s\": " << bin_view_pps << "},\n"
        << "  \"fleet_scale\": {\"pieces\": " << fleet_compiled.piece_count()
-       << ", \"v3_bytes\": " << fleet_mapped.file_size()
+       << ", \"v3_bytes\": " << fleet_mapped.bytes().size()
        << ", \"v2_deserialize_median_s\": " << bin_load_median_s
        << ", \"mmap_open_median_s\": " << mmap_load_s << "},\n"
        << "  \"first_estimate_seconds\": {\"cold_mmap\": " << cold_estimate_s

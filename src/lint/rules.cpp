@@ -137,11 +137,11 @@ class BinaryLoadRule final : public LintRule {
   }
 };
 
-/// v3 artifacts append the flattened serving tables the mmap reader points
-/// spans into; model_source runs the byte-level validator (the exact checks
-/// serve::MappedModel performs at map time) independently of the v2 body,
-/// so a corrupt flat region gets its own section/offset finding even when
-/// the body still loads — and vice versa.
+/// v3 artifacts append the flattened serving tables serve::CompiledModel
+/// points spans into; model_source runs the byte-level validator (the exact
+/// checks CompiledModel performs when it opens an image) independently of
+/// the v2 body, so a corrupt flat region gets its own section/offset
+/// finding even when the body still loads — and vice versa.
 class FlatStructureRule final : public LintRule {
  public:
   std::string_view id() const override { return "flat-structure"; }

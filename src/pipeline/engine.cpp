@@ -3,10 +3,10 @@
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "counters/events.h"
-#include "serve/model_v3.h"
 #include "serve/registry.h"
 #include "sim/core.h"
 #include "spire/model_io.h"
@@ -64,6 +64,7 @@ Engine& Engine::train() {
   model::Ensemble::TrainOptions options = context_.train_options;
   options.exec = context_.exec;
   context_.ensemble = model::Ensemble::train(context_.data, options);
+  context_.model.reset();
   if (context_.log != nullptr) {
     for (const auto& s : context_.ensemble->skipped()) {
       *context_.log << "train: skipped " << counters::event_name(s.metric)
@@ -75,21 +76,22 @@ Engine& Engine::train() {
 
 Engine& Engine::load_model(const std::string& path) {
   context_.ensemble = model::load_model_any_file(path);
+  context_.model.reset();
   return *this;
 }
 
 Engine& Engine::compile() {
   require(context_.ensemble.has_value(), "compile stage requires an ensemble");
-  context_.compiled = serve::CompiledModel::compile(*context_.ensemble);
+  context_.model = std::make_shared<const serve::CompiledModel>(
+      serve::CompiledModel::compile(*context_.ensemble));
   return *this;
 }
 
 Engine& Engine::compile_v3(const std::string& out_path) {
   require(context_.ensemble.has_value(),
           "compile_v3 stage requires an ensemble");
-  if (!context_.compiled.has_value()) compile();
-  const std::string bytes =
-      serve::model_v3_bytes(*context_.ensemble, *context_.compiled);
+  if (context_.model == nullptr) compile();
+  const std::string_view bytes = context_.model->bytes();
   std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("compile_v3: cannot write " + out_path);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -99,8 +101,9 @@ Engine& Engine::compile_v3(const std::string& out_path) {
 
 Engine& Engine::publish(const std::string& registry_root) {
   require(context_.ensemble.has_value(), "publish stage requires an ensemble");
+  if (context_.model == nullptr) compile();
   serve::ModelRegistry registry(registry_root);
-  context_.published_id = registry.publish(*context_.ensemble);
+  context_.published_id = registry.publish_bytes(context_.model->bytes());
   if (context_.log != nullptr) {
     *context_.log << "publish: " << context_.published_id << '\n';
   }
@@ -116,7 +119,7 @@ Engine& Engine::resolve_model(const std::string& registry_root,
     resolved = registry.latest();
     require(!resolved.empty(), "registry has no published models");
   }
-  context_.mapped = registry.open(resolved);
+  context_.model = registry.open(resolved);
   context_.resolved_id = resolved;
   // The ensemble form feeds the non-serving stages (estimate, analyze);
   // the stream loader revalidates the artifact end to end on the way.
@@ -128,17 +131,10 @@ Engine& Engine::resolve_model(const std::string& registry_root,
 Engine& Engine::estimate_batch(const std::vector<std::string>& workload_paths) {
   serve::BatchOptions options;
   options.exec = context_.exec;
-  std::optional<serve::EstimationService> service;
-  if (context_.mapped != nullptr) {
-    service.emplace(context_.mapped);
-  } else {
-    if (!context_.compiled.has_value()) compile();
-    // Non-owning: the context keeps the compiled model (and its evaluation
-    // plan) for later stages; the service only borrows it for this batch.
-    service.emplace(&*context_.compiled);
-  }
+  if (context_.model == nullptr) compile();
+  const serve::EstimationService service(context_.model);
   const serve::EvalCountersSnapshot before = serve::eval_counters_snapshot();
-  context_.batch_results = service->estimate_files(workload_paths, options);
+  context_.batch_results = service.estimate_files(workload_paths, options);
   if (context_.log != nullptr) {
     for (const auto& r : context_.batch_results) {
       if (!r.ok()) {

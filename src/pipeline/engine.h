@@ -36,7 +36,6 @@
 #include "sampling/collector.h"
 #include "sampling/dataset.h"
 #include "serve/compiled_model.h"
-#include "serve/mapped_model.h"
 #include "serve/service.h"
 #include "spire/analyzer.h"
 #include "spire/ensemble.h"
@@ -67,8 +66,11 @@ struct PipelineContext {
   std::optional<counters::CounterSet> counter_delta;  // whole-run TMA delta
   std::optional<quality::QualityReport> quality_report;
   std::optional<model::Ensemble> ensemble;
-  std::optional<serve::CompiledModel> compiled;  // compile stage output
-  std::shared_ptr<const serve::MappedModel> mapped;  // resolve_model output
+  /// The serving form of `ensemble`: compile() output (an owned v3 image)
+  /// or resolve_model() output (a registry mapping). Either way its bytes
+  /// are the canonical v3 artifact of `ensemble`. train() and load_model()
+  /// reset it, so it never describes an older ensemble.
+  std::shared_ptr<const serve::CompiledModel> model;
   std::string published_id;  // publish stage output (registry content id)
   std::string resolved_id;   // resolve_model output (after "latest" resolves)
   std::optional<model::Estimate> estimate;
@@ -119,22 +121,22 @@ class Engine {
   /// of training one.
   Engine& load_model(const std::string& path);
 
-  /// Flattens the trained/loaded ensemble into a serve::CompiledModel
-  /// (context().compiled) — the immutable, lock-free artifact the batch
+  /// Serializes the trained/loaded ensemble into a serve::CompiledModel
+  /// (context().model) — the immutable, lock-free v3 image the batch
   /// serving stages evaluate through.
   Engine& compile();
 
-  /// Serializes the trained/loaded ensemble as a binary v3 artifact at
-  /// `out_path` (compiling on demand). The file's flat tables are the
-  /// compiled tables by construction, mappable by serve::MappedModel.
+  /// Writes context().model's v3 image to `out_path` (compiling on
+  /// demand): the same bytes publish() stores.
   Engine& compile_v3(const std::string& out_path);
 
-  /// Publishes the ensemble's canonical v3 form to the content-addressed
-  /// registry at `registry_root`; the id lands in context().published_id.
+  /// Publishes context().model's v3 image (compiling on demand) to the
+  /// content-addressed registry at `registry_root`; the id lands in
+  /// context().published_id.
   Engine& publish(const std::string& registry_root);
 
   /// Resolves a content-addressed model id through the registry at
-  /// `registry_root`: maps the artifact zero-copy into context().mapped
+  /// `registry_root`: maps the artifact zero-copy into context().model
   /// (which estimate_batch then serves through) and loads the ensemble
   /// form into context().ensemble for stages that need it. The sentinel
   /// id "latest" resolves to the most recently published object; the
@@ -147,12 +149,11 @@ class Engine {
                         const std::string& id,
                         std::size_t registry_cache = 8);
 
-  /// Estimates every workload CSV, one pool task per file per context.exec.
-  /// Serves through context().mapped when resolve_model ran, else the
-  /// compiled model (compiling on demand when only the ensemble is
-  /// present) — both backends are bit-identical. Per-file failures are
-  /// isolated: results land in batch_results in input order with either
-  /// the Estimate or the error string set.
+  /// Estimates every workload CSV, one pool task per file per context.exec,
+  /// through context().model (compiling on demand when only the ensemble
+  /// is present). Per-file failures are isolated: results land in
+  /// batch_results in input order with either the Estimate or the error
+  /// string set.
   Engine& estimate_batch(const std::vector<std::string>& workload_paths);
 
   /// Statically lints serialized model files, appending one report per file

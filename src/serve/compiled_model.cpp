@@ -1,68 +1,64 @@
 #include "serve/compiled_model.h"
 
+#include <stdexcept>
 #include <utility>
 
-#include "spire/model_io.h"
-#include "util/contract.h"
+#include "serve/model_v3.h"
 
 namespace spire::serve {
 
-using counters::Event;
-using geom::LinearPiece;
 using model::Estimate;
 using model::Merge;
-using model::v3::MetricRange;
 using sampling::DatasetView;
 
 CompiledModel CompiledModel::compile(const model::Ensemble& ensemble) {
-  CompiledModel out;
-  std::size_t pieces = 0;
-  for (const auto& [metric, roofline] : ensemble.rooflines()) {
-    if (roofline.left().has_value()) pieces += roofline.left()->pieces().size();
-    pieces += roofline.right().pieces().size();
-  }
-  out.x0_.reserve(pieces);
-  out.y0_.reserve(pieces);
-  out.x1_.reserve(pieces);
-  out.y1_.reserve(pieces);
-  out.metrics_.reserve(ensemble.rooflines().size());
-  out.ranges_.reserve(ensemble.rooflines().size());
-
-  const auto append_region = [&out](const geom::PiecewiseLinear& region) {
-    for (const LinearPiece& p : region.pieces()) {
-      out.x0_.push_back(p.x0);
-      out.y0_.push_back(p.y0);
-      out.x1_.push_back(p.x1);
-      out.y1_.push_back(p.y1);
-    }
-  };
-
-  // std::map iteration = ascending Event order, the same order
-  // Ensemble::estimate materializes its per-metric tasks in.
-  for (const auto& [metric, roofline] : ensemble.rooflines()) {
-    MetricRange range;
-    range.left_begin = static_cast<std::uint32_t>(out.x0_.size());
-    if (roofline.left().has_value()) {
-      append_region(*roofline.left());
-      range.left_max = roofline.left()->domain_max();
-    }
-    range.left_end = static_cast<std::uint32_t>(out.x0_.size());
-    range.right_begin = range.left_end;
-    append_region(roofline.right());
-    range.right_end = static_cast<std::uint32_t>(out.x0_.size());
-    SPIRE_ASSERT(range.right_end > range.right_begin,
-                 "compile: empty right region for metric ",
-                 counters::event_name(metric));
-    out.metrics_.push_back(metric);
-    out.ranges_.push_back(range);
-  }
-  out.plan_ = EvalPlan::build(
-      {out.metrics_, out.ranges_, out.x0_, out.y0_, out.x1_, out.y1_});
-  return out;
+  auto image = std::make_unique<Image>();
+  image->owned = model_v3_bytes(ensemble);
+  // Heap storage from operator new is at least 16-aligned, which is the
+  // 8-alignment map_flat requires (and re-checks).
+  image->bytes = image->owned;
+  // The writer's own output: the structure tier is all the views need.
+  return open(std::move(image), model::v3::Verify::kStructure,
+              "compiled model");
 }
 
-CompiledModel CompiledModel::from_file(const std::string& path) {
-  return compile(model::load_model_any_file(path));
+CompiledModel CompiledModel::map_file(const std::string& path,
+                                      model::v3::Verify verify) {
+  auto image = std::make_unique<Image>();
+  image->file = util::MmapFile::open_readonly(path);
+  const std::span<const std::byte> mapped = image->file.bytes();
+  image->bytes = {reinterpret_cast<const char*>(mapped.data()), mapped.size()};
+  return open(std::move(image), verify, path);
+}
+
+CompiledModel CompiledModel::open(std::unique_ptr<Image> image,
+                                  model::v3::Verify verify,
+                                  const std::string& source) {
+  CompiledModel out;
+  out.view_ = model::v3::map_flat(
+      std::as_bytes(std::span(image->bytes.data(), image->bytes.size())),
+      verify);
+  out.image_ = std::move(image);
+
+  // Resolve the name-index records to Events. Table order must be strictly
+  // ascending by event id — the order the writer emits (std::map iteration)
+  // and the order the bit-identity contract's ranking accumulation assumes.
+  out.metrics_.reserve(out.view_.names.size());
+  for (const model::v3::NameRef& ref : out.view_.names) {
+    const std::string_view name = out.view_.name(ref);
+    const auto metric = counters::event_by_name(name);
+    if (!metric) {
+      throw std::runtime_error("model-v3: " + source + ": unknown metric '" +
+                               std::string(name) + "'");
+    }
+    if (!out.metrics_.empty() && *metric <= out.metrics_.back()) {
+      throw std::runtime_error(
+          "model-v3: " + source + ": metric '" + std::string(name) +
+          "' out of order (tables must ascend by event id)");
+    }
+    out.metrics_.push_back(*metric);
+  }
+  return out;
 }
 
 Estimate CompiledModel::estimate(DatasetView workload, Merge merge) const {

@@ -1,13 +1,12 @@
-// The shared flattened-table evaluator behind both serving backends.
+// The flattened-table evaluator behind every serving surface.
 //
-// CompiledModel (owned vectors, built by compile()) and MappedModel (spans
-// straight into an mmap'd v3 artifact) present the same structure-of-arrays
-// shape: per-metric piece-index ranges over shared x0/y0/x1/y1 endpoint
-// columns. EvalTables is that shape as non-owning spans, and the functions
-// here are THE single implementation of the bit-identity contract —
-// estimate results identical to Ensemble::estimate down to the last ulp,
-// same ranking order, same skip reasons, same error text. Both backends
-// delegate here, so they cannot drift from each other.
+// A v3 image (serve::CompiledModel, owned or mmap'd) holds the model as one
+// structure-of-arrays shape: per-metric piece-index ranges over shared
+// x0/y0/x1/y1 endpoint columns. EvalTables is that shape as non-owning
+// spans, and the functions here are THE single implementation of the
+// bit-identity contract — estimate results identical to
+// Ensemble::estimate down to the last ulp, same ranking order, same skip
+// reasons, same error text.
 //
 // Two evaluation paths share that contract:
 //
@@ -17,7 +16,7 @@
 //    every other path is checked against;
 //  * the BATCH KERNEL (EvalBatch): a two-phase plan/execute restructuring
 //    of the same lookup. The PLAN is per-model, immutable, and built once
-//    (EvalPlan, owned by CompiledModel / built lazily by MappedModel):
+//    (EvalPlan, built lazily by CompiledModel on first use):
 //    each metric's two region slices of the x1 column merge into ONE
 //    ascending UNIFIED column (left entries <= left_max, then right
 //    entries above it — a lower_bound there maps back to the scalar index

@@ -1,15 +1,19 @@
 // Binary model format v3 writer.
 //
-// Lives in serve (not spire/model_io) on purpose: the flat tables a v3
-// artifact appends are DEFINED as serve::CompiledModel's columns, so the
-// writer compiles the ensemble and serializes exactly the spans tables()
-// exposes. File tables equal compiled tables by construction — there is no
-// second flattening implementation to drift. The v2-compatible prefix is
-// produced by model::append_model_bin_body, byte-identical to a v2 file of
-// the same ensemble, so v2-era readers' stream path keeps working.
+// The flat tables a v3 artifact appends are defined by the one flatten
+// walk in this writer: every roofline's left then right pieces, metrics in
+// ascending event order, laid out as shared x0/y0/x1/y1 columns plus one
+// MetricRange per metric. serve::CompiledModel::compile serializes through
+// here and then reads its tables out of the bytes, so a compiled model's
+// tables ARE file tables — there is no second flattening to drift. (Lint
+// re-flattens independently on purpose: that walk is the check that a
+// file's tables match its body.) The v2-compatible prefix is produced by
+// model::append_model_bin_body, byte-identical to a v2 file of the same
+// ensemble, so v2-era readers' stream path keeps working.
 //
 // Readers: model::load_model_bin (stream deserialize, any host) and
-// serve::MappedModel (zero-copy mmap, little-endian hosts).
+// serve::CompiledModel (in place over an owned buffer or an mmap,
+// little-endian hosts).
 #pragma once
 
 #include <string>
@@ -18,18 +22,10 @@
 
 namespace spire::serve {
 
-class CompiledModel;
-
 /// The complete v3 artifact for `ensemble`, as bytes. Deterministic: the
 /// same ensemble always serializes to the same bytes (which is what makes
 /// fnv1a64 content addressing in the registry meaningful).
 std::string model_v3_bytes(const model::Ensemble& ensemble);
-
-/// Same, serializing an already-compiled model plus its source ensemble
-/// (the v2 body still comes from the ensemble; the flat tables from
-/// `compiled`).
-std::string model_v3_bytes(const model::Ensemble& ensemble,
-                           const CompiledModel& compiled);
 
 /// Writes the v3 artifact to `path`. Throws std::runtime_error on I/O
 /// failure.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -48,7 +47,7 @@ void require_id(const std::string& id) {
 /// Writes `bytes` to a fresh file at `path` through the EINTR-hardened
 /// descriptor wrappers: a signal landing mid-publish must surface as a
 /// clean failure, never as a silently short object.
-bool write_file_bytes(const std::string& path, const std::string& bytes) {
+bool write_file_bytes(const std::string& path, std::string_view bytes) {
 #if defined(_WIN32)
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
@@ -83,7 +82,7 @@ std::string ModelRegistry::pin_path(const std::string& id) const {
   return (fs::path(root_) / "pins" / id).string();
 }
 
-std::string ModelRegistry::store_bytes_locked(const std::string& bytes) {
+std::string ModelRegistry::store_bytes_locked(std::string_view bytes) {
   const std::string id = util::fnv1a64_hex(bytes);
   const fs::path final_path = object_path(id);
   std::error_code ec;
@@ -121,10 +120,8 @@ std::string ModelRegistry::publish_file(const std::string& path) {
   return publish(model::load_model_any_file(path));
 }
 
-std::string ModelRegistry::publish_bytes(const std::string& bytes) {
-  if (bytes.size() < model::kModelBinMagicV3.size() ||
-      std::memcmp(bytes.data(), model::kModelBinMagicV3.data(),
-                  model::kModelBinMagicV3.size()) != 0) {
+std::string ModelRegistry::publish_bytes(std::string_view bytes) {
+  if (!bytes.starts_with(model::kModelBinMagicV3)) {
     throw std::runtime_error(
         "model-v3: publish_bytes requires a v3 artifact (bad magic)");
   }
@@ -137,7 +134,7 @@ std::string ModelRegistry::publish_bytes(const std::string& bytes) {
   return store_bytes_locked(bytes);
 }
 
-std::shared_ptr<const MappedModel> ModelRegistry::open(const std::string& id) {
+std::shared_ptr<const CompiledModel> ModelRegistry::open(const std::string& id) {
   require_id(id);
   util::MutexLock lock(mutex_);
   // LRU hit: move to front.
@@ -149,7 +146,7 @@ std::shared_ptr<const MappedModel> ModelRegistry::open(const std::string& id) {
     }
   }
   // A mapping may be alive in a consumer even after LRU eviction.
-  std::shared_ptr<const MappedModel> model;
+  std::shared_ptr<const CompiledModel> model;
   if (const auto it = live_.find(id); it != live_.end()) {
     model = it->second.lock();
   }
@@ -163,7 +160,7 @@ std::shared_ptr<const MappedModel> ModelRegistry::open(const std::string& id) {
     if (!fs::exists(path, ec)) {
       fail("no object with id " + id + " under " + root_);
     }
-    model = std::make_shared<const MappedModel>(MappedModel::map_file(path));
+    model = std::make_shared<const CompiledModel>(CompiledModel::map_file(path));
     live_[id] = model;
   }
   if (cache_capacity_ > 0) {

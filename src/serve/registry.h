@@ -13,13 +13,14 @@
 // Publish writes to a unique temp file in objects/ and renames into place:
 // on POSIX, rename is atomic, so a reader (or a concurrent publisher of
 // the same content) never observes a partial object. Objects are never
-// modified in place, which is what lets MappedModel hold long-lived
-// mappings of them without SIGBUS risk.
+// modified in place, which is what lets a mapped CompiledModel
+// (CompiledModel::map_file) hold long-lived mappings of them without
+// SIGBUS risk.
 //
-// open() returns shared_ptr<const MappedModel> through an in-process LRU
-// cache of open mappings (capacity configurable) plus a weak-pointer
-// tracking map, so repeated opens of a hot model share one mapping and
-// gc() can refuse to delete an object any live consumer still maps.
+// open() returns a mapped shared_ptr<const CompiledModel> through an
+// in-process LRU cache of open mappings (capacity configurable) plus a
+// weak-pointer tracking map, so repeated opens of a hot model share one
+// mapping and gc() can refuse to delete an object any live consumer still maps.
 // All registry state is mutex-protected; the returned models themselves
 // are immutable and lock-free to use.
 #pragma once
@@ -34,7 +35,7 @@
 #include <string_view>
 #include <vector>
 
-#include "serve/mapped_model.h"
+#include "serve/compiled_model.h"
 #include "spire/ensemble.h"
 #include "util/thread_annotations.h"
 
@@ -59,15 +60,16 @@ class ModelRegistry {
   /// publishes its canonical v3 form. Returns the id.
   std::string publish_file(const std::string& path);
 
-  /// Publishes pre-serialized v3 artifact bytes after validating them.
-  /// Throws "model-v3: ..." if the bytes are not a structurally valid v3
-  /// artifact. Returns the id (the hash of exactly these bytes).
-  std::string publish_bytes(const std::string& bytes) SPIRE_EXCLUDES(mutex_);
+  /// Publishes pre-serialized v3 artifact bytes (for example a
+  /// CompiledModel's bytes()) after validating them. Throws "model-v3: ..."
+  /// if the bytes are not a structurally valid v3 artifact. Returns the id
+  /// (the hash of exactly these bytes).
+  std::string publish_bytes(std::string_view bytes) SPIRE_EXCLUDES(mutex_);
 
   /// Maps the object with `id`, through the LRU cache: repeated opens of
   /// the same id share one mapping. Throws std::runtime_error when the id
   /// is malformed or not present.
-  std::shared_ptr<const MappedModel> open(const std::string& id)
+  std::shared_ptr<const CompiledModel> open(const std::string& id)
       SPIRE_EXCLUDES(mutex_);
 
   bool contains(const std::string& id) const;
@@ -91,7 +93,7 @@ class ModelRegistry {
   std::vector<std::string> pinned() const;
 
   /// Removes every object that is neither pinned nor currently mapped by a
-  /// live MappedModel handed out by open(). The registry's own LRU cache
+  /// live model handed out by open(). The registry's own LRU cache
   /// is dropped first, so caching alone never keeps an object alive.
   /// Returns the ids removed.
   std::vector<std::string> gc() SPIRE_EXCLUDES(mutex_);
@@ -120,7 +122,7 @@ class ModelRegistry {
 
  private:
   std::string pin_path(const std::string& id) const;
-  std::string store_bytes_locked(const std::string& bytes)
+  std::string store_bytes_locked(std::string_view bytes)
       SPIRE_REQUIRES(mutex_);
 
   const std::string root_;
@@ -130,11 +132,11 @@ class ModelRegistry {
 
   mutable util::Mutex mutex_{util::lock_rank::Rank::kRegistry, "registry"};
   // LRU of registry-owned strong references, most recent first.
-  std::list<std::pair<std::string, std::shared_ptr<const MappedModel>>> lru_
+  std::list<std::pair<std::string, std::shared_ptr<const CompiledModel>>> lru_
       SPIRE_GUARDED_BY(mutex_);
   // Every mapping ever handed out and possibly still alive; lets open()
   // deduplicate beyond the LRU and gc() detect in-use objects.
-  std::map<std::string, std::weak_ptr<const MappedModel>> live_
+  std::map<std::string, std::weak_ptr<const CompiledModel>> live_
       SPIRE_GUARDED_BY(mutex_);
 
   std::atomic<std::uint64_t> cache_hits_{0};

@@ -2,55 +2,78 @@
 
 #include <chrono>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
-#include "serve/registry.h"
-#include "spire/model_io.h"
 
 namespace spire::serve {
 
-EstimationService::EstimationService(std::shared_ptr<const MappedModel> model)
+namespace {
+
+/// The one implementation behind estimate_csvs and estimate_views. Stage
+/// pass: each job's deadline is checked immediately BEFORE `stage` turns it
+/// into the view the kernel reads (for CSVs that is the parse, which
+/// dominates per-item cost), not once per batch: once the budget is gone
+/// every remaining item reports expiry (the clock is monotonic, so an
+/// expired batch never un-expires). A `stage` that throws fails only its
+/// own item. Evaluate pass: every survivor joins ONE planned kernel batch
+/// (a shard pump's coalesced wakeup becomes a single sort/sweep/execute
+/// per metric), with per-item error isolation inside estimate_many.
+/// Results come back in input order.
+template <typename Job, typename Stage>
+std::vector<BatchResult> estimate_jobs(const EvalTables& tables,
+                                       std::span<const Job> jobs,
+                                       Stage&& stage) {
+  std::vector<BatchResult> results(jobs.size());
+  std::vector<sampling::DatasetView> views;
+  std::vector<model::Merge> merges;
+  std::vector<std::size_t> slots;
+  views.reserve(jobs.size());
+  merges.reserve(jobs.size());
+  slots.reserve(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Job& job = jobs[i];
+    BatchResult& result = results[i];
+    if (job.has_deadline &&
+        std::chrono::steady_clock::now() >= job.deadline) {
+      result.deadline_expired = true;
+      result.error = "deadline expired";
+      continue;
+    }
+    try {
+      views.push_back(stage(job));
+    } catch (const std::exception& e) {
+      result.error = e.what();
+      continue;
+    }
+    result.samples = views.back().size();
+    merges.push_back(job.merge);
+    slots.push_back(i);
+  }
+
+  const auto outcomes = thread_eval_batch().estimate_many(
+      tables, std::span<const sampling::DatasetView>(views),
+      std::span<const model::Merge>(merges));
+  for (std::size_t k = 0; k < outcomes.size(); ++k) {
+    BatchResult& result = results[slots[k]];
+    if (outcomes[k].ok()) {
+      result.estimate = outcomes[k].estimate;
+    } else {
+      result.error = outcomes[k].error;
+    }
+  }
+  return results;
+}
+
+}  // namespace
+
+EstimationService::EstimationService(CompiledModel model)
+    : model_(std::make_shared<const CompiledModel>(std::move(model))) {}
+
+EstimationService::EstimationService(std::shared_ptr<const CompiledModel> model)
     : model_(std::move(model)) {
-  if (!std::get<std::shared_ptr<const MappedModel>>(model_)) {
-    throw std::invalid_argument("EstimationService: null mapped model");
-  }
-}
-
-EstimationService::EstimationService(const CompiledModel* model)
-    : model_(model) {
-  if (model == nullptr) {
-    throw std::invalid_argument("EstimationService: null compiled model");
-  }
-}
-
-EstimationService EstimationService::from_file(const std::string& path) {
-  if (model::binary_model_file_version(path) ==
-      model::kModelBinV3FormatVersion) {
-    return EstimationService(MappedModel::map_file(path));
-  }
-  return EstimationService(CompiledModel::from_file(path));
-}
-
-EstimationService EstimationService::from_registry(ModelRegistry& registry,
-                                                   const std::string& id) {
-  return EstimationService(registry.open(id));
-}
-
-EvalTables EstimationService::tables() const {
-  return std::visit(
-      [](const auto& backend) -> EvalTables {
-        using T = std::decay_t<decltype(backend)>;
-        if constexpr (std::is_same_v<T, CompiledModel> ||
-                      std::is_same_v<T, MappedModel>) {
-          return backend.tables();
-        } else {
-          return backend->tables();  // shared_ptr or raw pointer backend
-        }
-      },
-      model_);
+  if (!model_) throw std::invalid_argument("EstimationService: null model");
 }
 
 std::vector<BatchResult> EstimationService::estimate_files(
@@ -58,7 +81,7 @@ std::vector<BatchResult> EstimationService::estimate_files(
   // Each task owns its Dataset (the view it estimates through points into
   // task-local storage) and only reads the shared immutable tables, so the
   // fan-out has no shared mutable state.
-  const EvalTables tables = this->tables();
+  const EvalTables tables = model_->tables();
   return util::parallel_for_index(
       options.exec, paths.size(), [&](std::size_t i) {
         BatchResult result;
@@ -80,103 +103,21 @@ std::vector<BatchResult> EstimationService::estimate_files(
 
 std::vector<BatchResult> EstimationService::estimate_csvs(
     std::span<const CsvJob> jobs) const {
-  const EvalTables tables = this->tables();
-  std::vector<BatchResult> results(jobs.size());
-
-  // Stage pass: parse every still-in-budget CSV. Deadlines are checked per
-  // item BEFORE its parse (parsing dominates per-item cost), not once per
-  // batch: once the budget is gone every remaining item reports expiry
-  // (the clock is monotonic, so an expired batch never un-expires), with
-  // results in input order exactly as the old serial loop produced them.
   std::vector<sampling::Dataset> datasets;
-  std::vector<sampling::DatasetView> views;
-  std::vector<model::Merge> merges;
-  std::vector<std::size_t> slots;
   datasets.reserve(jobs.size());  // no reallocation: views point into these
-  views.reserve(jobs.size());
-  merges.reserve(jobs.size());
-  slots.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const CsvJob& job = jobs[i];
-    BatchResult& result = results[i];
-    if (job.has_deadline &&
-        std::chrono::steady_clock::now() >= job.deadline) {
-      result.deadline_expired = true;
-      result.error = "deadline expired";
-      continue;
-    }
-    try {
-      // In-place parse: fields are read straight out of the request's CSV
-      // buffer, no istringstream copy of the payload.
-      datasets.push_back(
-          sampling::Dataset::load_csv(std::string_view(*job.csv)));
-      views.emplace_back(datasets.back());
-      result.samples = views.back().size();
-      merges.push_back(job.merge);
-      slots.push_back(i);
-    } catch (const std::exception& e) {
-      result.error = e.what();
-    }
-  }
-
-  // Evaluate pass: every survivor joins ONE planned kernel batch (a shard
-  // pump's coalesced wakeup becomes a single sort/sweep/execute per
-  // metric). Per-item error isolation is preserved inside estimate_many.
-  const auto outcomes = thread_eval_batch().estimate_many(
-      tables, std::span<const sampling::DatasetView>(views),
-      std::span<const model::Merge>(merges));
-  for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    BatchResult& result = results[slots[k]];
-    if (outcomes[k].ok()) {
-      result.estimate = outcomes[k].estimate;
-    } else {
-      result.error = outcomes[k].error;
-    }
-  }
-  return results;
+  return estimate_jobs(model_->tables(), jobs, [&](const CsvJob& job) {
+    // In-place parse: fields are read straight out of the request's CSV
+    // buffer, no istringstream copy of the payload.
+    datasets.push_back(sampling::Dataset::load_csv(std::string_view(*job.csv)));
+    return sampling::DatasetView(datasets.back());
+  });
 }
 
 std::vector<BatchResult> EstimationService::estimate_views(
     std::span<const ViewJob> jobs) const {
-  const EvalTables tables = this->tables();
-  std::vector<BatchResult> results(jobs.size());
-
-  // No stage pass to speak of: the views already exist, so the only
-  // per-item work before the kernel is the deadline check (same monotonic
-  // once-expired-stays-expired semantics as estimate_csvs).
-  std::vector<sampling::DatasetView> views;
-  std::vector<model::Merge> merges;
-  std::vector<std::size_t> slots;
-  views.reserve(jobs.size());
-  merges.reserve(jobs.size());
-  slots.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const ViewJob& job = jobs[i];
-    BatchResult& result = results[i];
-    if (job.has_deadline &&
-        std::chrono::steady_clock::now() >= job.deadline) {
-      result.deadline_expired = true;
-      result.error = "deadline expired";
-      continue;
-    }
-    views.push_back(*job.view);  // cheap: spans, not samples
-    result.samples = views.back().size();
-    merges.push_back(job.merge);
-    slots.push_back(i);
-  }
-
-  const auto outcomes = thread_eval_batch().estimate_many(
-      tables, std::span<const sampling::DatasetView>(views),
-      std::span<const model::Merge>(merges));
-  for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    BatchResult& result = results[slots[k]];
-    if (outcomes[k].ok()) {
-      result.estimate = outcomes[k].estimate;
-    } else {
-      result.error = outcomes[k].error;
-    }
-  }
-  return results;
+  // Cheap: a view is spans, not samples.
+  return estimate_jobs(model_->tables(), jobs,
+                       [](const ViewJob& job) { return *job.view; });
 }
 
 }  // namespace spire::serve

@@ -2,17 +2,15 @@
 // per CSV out" serving front end used by `spire_cli estimate` and the
 // pipeline engine's estimate_batch stage.
 //
-// The raw kernels (CompiledModel / MappedModel estimate_batch) are
-// bit-identical but one bad workload throws for the whole span. A service
-// run must instead keep going when one file is unreadable or shares no
-// metric with the model, so EstimationService isolates failures per item:
-// every input path gets a BatchResult in input order carrying either the
-// Estimate or the error string, never both.
+// The raw kernels (CompiledModel::estimate_batch) are bit-identical but
+// one bad workload throws for the whole span. A service run must instead
+// keep going when one file is unreadable or shares no metric with the
+// model, so EstimationService isolates failures per item: every input path
+// gets a BatchResult in input order carrying either the Estimate or the
+// error string, never both.
 //
-// The service is backend-agnostic: it can own a CompiledModel (any source
-// format, parse at load), own a MappedModel (zero-copy v3), or share a
-// registry-cached mapping. from_file picks the fastest backend for the
-// artifact's format; from_registry resolves a content-addressed id.
+// The service shares one immutable CompiledModel — compiled in memory or
+// mapped from a file or the registry, which serve identically.
 #pragma once
 
 #include <chrono>
@@ -20,18 +18,14 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "sampling/dataset_view.h"
 #include "serve/compiled_model.h"
-#include "serve/mapped_model.h"
 #include "spire/ensemble.h"
 #include "util/thread_pool.h"
 
 namespace spire::serve {
-
-class ModelRegistry;
 
 /// One workload file's outcome. Exactly one of estimate/error is set.
 struct BatchResult {
@@ -77,35 +71,13 @@ struct BatchOptions {
 
 class EstimationService {
  public:
-  explicit EstimationService(CompiledModel model) : model_(std::move(model)) {}
-  explicit EstimationService(MappedModel model) : model_(std::move(model)) {}
-  explicit EstimationService(std::shared_ptr<const MappedModel> model);
-  /// Non-owning: `model` must outlive the service. For callers that keep
-  /// the compiled model for other work (CompiledModel is move-only — its
-  /// evaluation plan cannot be copied into the service).
-  explicit EstimationService(const CompiledModel* model);
+  explicit EstimationService(CompiledModel model);
+  /// Shares `model` (a registry mapping, or a model the caller keeps for
+  /// other work). Throws std::invalid_argument when it is null.
+  explicit EstimationService(std::shared_ptr<const CompiledModel> model);
 
-  /// Loads a model from `path`, picking the backend by format: binary v3
-  /// maps zero-copy (MappedModel); text v1 and binary v2 deserialize and
-  /// compile (CompiledModel). Either way estimates are bit-identical.
-  static EstimationService from_file(const std::string& path);
-
-  /// Resolves a content-addressed id through `registry` (shared mapping,
-  /// LRU-cached). Throws when the id is malformed or unknown.
-  static EstimationService from_registry(ModelRegistry& registry,
-                                         const std::string& id);
-
-  std::size_t metric_count() const { return tables().metric_count(); }
-  std::size_t piece_count() const { return tables().piece_count(); }
-
-  /// True when serving straight out of a file mapping (no deserialize).
-  bool zero_copy() const {
-    return std::holds_alternative<MappedModel>(model_) ||
-           std::holds_alternative<std::shared_ptr<const MappedModel>>(model_);
-  }
-
-  /// The active backend's tables; valid for the service's lifetime.
-  EvalTables tables() const;
+  std::size_t metric_count() const { return model_->metric_count(); }
+  std::size_t piece_count() const { return model_->piece_count(); }
 
   /// Estimates every workload CSV, one pool task per file (load + estimate
   /// both inside the task; serial when exec.threads <= 1). Results come
@@ -130,14 +102,13 @@ class EstimationService {
   /// (a zero-copy binary-profile view or a parsed-profile cache hit), so
   /// the whole call is ONE planned batch-kernel pass with no Dataset
   /// materialization and no string copies. Deadline and error semantics
-  /// match estimate_csvs; results are bit-identical to parsing the same
-  /// samples from CSV (the kernel sees the same doubles either way).
+  /// match estimate_csvs (one implementation serves both); results are
+  /// bit-identical to parsing the same samples from CSV (the kernel sees
+  /// the same doubles either way).
   std::vector<BatchResult> estimate_views(std::span<const ViewJob> jobs) const;
 
  private:
-  std::variant<CompiledModel, MappedModel,
-               std::shared_ptr<const MappedModel>, const CompiledModel*>
-      model_;
+  std::shared_ptr<const CompiledModel> model_;
 };
 
 }  // namespace spire::serve

@@ -13,12 +13,11 @@ using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
-Shard::Shard(std::string model_id, std::shared_ptr<const MappedModel> model,
+Shard::Shard(std::string model_id, std::shared_ptr<const CompiledModel> model,
              util::ThreadPool& pool, std::size_t queue_bound,
              std::size_t max_batch, ProfileCache* profile_cache)
     : model_id_(std::move(model_id)),
-      model_(std::move(model)),
-      service_(model_),
+      service_(std::move(model)),
       pool_(pool),
       queue_bound_(std::max<std::size_t>(queue_bound, 1)),
       max_batch_(std::max<std::size_t>(max_batch, 1)),

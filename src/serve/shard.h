@@ -4,10 +4,11 @@
 // The fleet-serving architecture (DESIGN.md §14) gives every model its own
 // Shard so that overload is isolated per model — a flood against one model
 // fills that shard's queue and sheds with a structured error while every
-// other shard keeps serving. A shard owns a shared_ptr<const MappedModel>
-// pinned for its whole life (the mapping cannot be unmapped or gc'd under
-// in-flight requests) wrapped in an EstimationService, plus a FIFO of
-// pending requests bounded at construction.
+// other shard keeps serving. A shard's EstimationService pins its model (a
+// registry mapping, shared_ptr<const CompiledModel>) for the shard's whole
+// life, so the mapping cannot be unmapped or gc'd under in-flight
+// requests; the shard adds a FIFO of pending requests bounded at
+// construction.
 //
 // Coalescing: requests are not evaluated one-per-worker. The first enqueue
 // into an idle shard schedules one "pump" task on the shared ThreadPool;
@@ -50,7 +51,7 @@
 #include <vector>
 
 #include "sampling/dataset_view.h"
-#include "serve/mapped_model.h"
+#include "serve/compiled_model.h"
 #include "serve/profile_cache.h"
 #include "serve/service.h"
 #include "spire/ensemble.h"
@@ -115,7 +116,7 @@ class Shard : public std::enable_shared_from_this<Shard> {
   /// be owned by shared_ptr before the first enqueue() (the pump task holds
   /// a self-reference). `profile_cache` (optional, must outlive the shard)
   /// memoizes text-workload parses across the whole fleet.
-  Shard(std::string model_id, std::shared_ptr<const MappedModel> model,
+  Shard(std::string model_id, std::shared_ptr<const CompiledModel> model,
         util::ThreadPool& pool, std::size_t queue_bound,
         std::size_t max_batch = 16, ProfileCache* profile_cache = nullptr);
 
@@ -123,7 +124,6 @@ class Shard : public std::enable_shared_from_this<Shard> {
   Shard& operator=(const Shard&) = delete;
 
   const std::string& model_id() const { return model_id_; }
-  const std::shared_ptr<const MappedModel>& model() const { return model_; }
 
   Enqueue enqueue(Request request) SPIRE_EXCLUDES(mutex_);
 
@@ -139,7 +139,6 @@ class Shard : public std::enable_shared_from_this<Shard> {
   void run_batch(std::vector<Request>& batch);
 
   const std::string model_id_;
-  const std::shared_ptr<const MappedModel> model_;
   const EstimationService service_;
   util::ThreadPool& pool_;
   const std::size_t queue_bound_;

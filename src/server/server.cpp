@@ -251,7 +251,7 @@ std::shared_ptr<serve::Shard> EstimationServer::shard_for_id(
   // Map outside the lock: registry I/O must not block routing for other
   // shards. Losing the ensuing insert race is benign — the loser's shard
   // never pumped, so it destructs quietly.
-  std::shared_ptr<const serve::MappedModel> model;
+  std::shared_ptr<const serve::CompiledModel> model;
   try {
     model = registry_.open(id);
   } catch (const std::exception& e) {

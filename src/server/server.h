@@ -1,10 +1,11 @@
 // Resident estimation server, designed around failure.
 //
-// The serving data plane (serve::MappedModel + ModelRegistry) is immutable
-// and lock-free; what was missing is a control plane that survives the
-// conditions a long-running process actually meets: malformed and torn
-// frames, clients that stall mid-write, load spikes, model republishes,
-// and operators sending SIGTERM. EstimationServer is that control plane:
+// The serving data plane (ModelRegistry + the mapped serve::CompiledModel
+// objects it hands out) is immutable and lock-free; what was missing is a
+// control plane that survives the conditions a long-running process
+// actually meets: malformed and torn frames, clients that stall
+// mid-write, load spikes, model republishes, and operators sending
+// SIGTERM. EstimationServer is that control plane:
 //
 //  * transports: a UNIX-domain socket (one reader thread per accepted
 //    connection) or any already-open duplex fd pair (stdin/stdout for

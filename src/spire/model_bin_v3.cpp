@@ -484,6 +484,7 @@ void append_flat(std::string& out, const FlatTables& tables) {
     cursor = align_up(cursor + payloads[i].size());
   }
   const std::size_t file_size = cursor + kFooterBytes;
+  out.reserve(file_size);
 
   // --- header + section table ----------------------------------------------
   put_u64(out, kFlatMagic);

@@ -8,8 +8,8 @@
 //   right <k> x0 y0 x1 y1 ... (piece corners; x of the last corner may be
 //                              "inf"; pieces may be discontinuous)
 //
-// Binary v2 — the deployment artifact (serve::CompiledModel loads in one
-// pass, no float parsing). Layout, all integers and IEEE-754 doubles
+// Binary v2 — the compact binary artifact (one-pass load, no float
+// parsing). Layout, all integers and IEEE-754 doubles
 // little-endian fixed-width:
 //
 //   magic line  "spire-model-bin v2\n" (19 bytes, file(1)-friendly)
@@ -31,13 +31,13 @@
 //
 // Binary v3 — v2 plus an appended flattened-tables region laid out for
 // zero-copy mmap serving (see spire/model_bin_v3.h for the wire layout and
-// serve/mapped_model.h for the reader). load_model_bin accepts v2 and v3;
+// serve/compiled_model.h for the reader). load_model_bin accepts v2 and v3;
 // for v3 it additionally validates the flat region (per-section CRCs,
 // whole-file CRC, structural and semantic checks) and cross-checks the
 // flat header's counts against the parsed metric sections, so a v3 file
 // that stream-loads is also guaranteed mappable. The v3 WRITER lives in
-// serve/model_v3.h: the flat tables are produced by serve::CompiledModel,
-// which makes file tables equal compiled tables by construction.
+// serve/model_v3.h, and serve::CompiledModel is a v3 image (owned or
+// mapped), so the tables a model serves from ARE file tables.
 #pragma once
 
 #include <iosfwd>

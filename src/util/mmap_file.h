@@ -4,7 +4,8 @@
 // artifact deserializes every table into heap vectors before the first
 // estimate. MmapFile is the substrate for the zero-copy alternative: map
 // the artifact once, page-cache shared across every process serving the
-// same model, and let serve::MappedModel point spans straight into it.
+// same model, and let serve::CompiledModel::map_file point spans straight
+// into it.
 //
 // Hardening against files that change after open (a truncation would turn
 // every later read into SIGBUS): the size is captured with fstat on the

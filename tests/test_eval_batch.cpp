@@ -61,7 +61,7 @@ struct TableSet {
   EvalTables tables() const { return {metrics, ranges, x0, y0, x1, y1}; }
 
   /// Tables with a model-owned EvalPlan attached (built on first use) —
-  /// the shape CompiledModel/MappedModel actually serve through, which is
+  /// the shape CompiledModel actually serves through, which is
   /// what routes the interleaved-row execute path (and the AVX2 select
   /// when the build compiled it and the CPU has it).
   EvalTables planned() const {

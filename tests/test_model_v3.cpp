@@ -1,12 +1,13 @@
 // Binary v3 + zero-copy serving: the mapped path's promises are (a) bit
-// identity with the tree-walk and the compiled path at any thread count,
-// (b) zero per-table copying (every table span points into the mapping),
-// and (c) no crafted or corrupted artifact ever gets a pointer formed into
-// it — every defect is a clean "model-v3: ..." diagnostic naming a section
-// or byte offset. The registry adds content-addressed identity: publishing
-// the same model from any source format converges on one id, publish is
-// atomic and race-safe, and gc never removes pinned or live-mapped objects.
-#include "serve/mapped_model.h"
+// identity with the tree-walk and the owned (compiled) image at any thread
+// count, (b) zero per-table copying (every table span points into the
+// mapping), and (c) no crafted or corrupted artifact ever gets a pointer
+// formed into it — every defect is a clean "model-v3: ..." diagnostic
+// naming a section or byte offset. The registry adds content-addressed
+// identity: publishing the same model from any source format converges on
+// one id, publish is atomic and race-safe, and gc never removes pinned or
+// live-mapped objects.
+#include "serve/compiled_model.h"
 
 #include <gtest/gtest.h>
 
@@ -29,7 +30,6 @@
 #include "quality/fault_injector.h"
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
-#include "serve/compiled_model.h"
 #include "serve/model_v3.h"
 #include "serve/registry.h"
 #include "serve/service.h"
@@ -168,7 +168,7 @@ TEST(ModelV3, FileVersionSniffingRoutesAllThreeFormats) {
 }
 
 // --------------------------------------------------------------------------
-// MappedModel: bit identity and zero-copy structure
+// Mapped models: bit identity and zero-copy structure
 // --------------------------------------------------------------------------
 
 TEST(MappedModel, EstimatesBitIdenticalToEnsembleAndCompiled) {
@@ -176,7 +176,7 @@ TEST(MappedModel, EstimatesBitIdenticalToEnsembleAndCompiled) {
   const CompiledModel compiled = CompiledModel::compile(ensemble);
   const std::string path = temp_path("mapped_identity.v3.bin");
   save_model_v3_file(ensemble, path);
-  const MappedModel mapped = MappedModel::map_file(path);
+  const CompiledModel mapped = CompiledModel::map_file(path);
 
   EXPECT_EQ(mapped.metric_count(), compiled.metric_count());
   EXPECT_EQ(mapped.piece_count(), compiled.piece_count());
@@ -199,7 +199,7 @@ TEST(MappedModel, BatchIsBitIdenticalAtOneFourEightThreads) {
   const Ensemble ensemble = trained_ensemble(29);
   const std::string path = temp_path("mapped_batch.v3.bin");
   save_model_v3_file(ensemble, path);
-  const MappedModel mapped = MappedModel::map_file(path);
+  const CompiledModel mapped = CompiledModel::map_file(path);
 
   std::vector<Dataset> workloads;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
@@ -224,7 +224,7 @@ TEST(MappedModel, ThrowsTheEnsembleErrorOnNoSharedMetric) {
   const Ensemble ensemble = trained_ensemble(17);
   const std::string path = temp_path("mapped_throw.v3.bin");
   save_model_v3_file(ensemble, path);
-  const MappedModel mapped = MappedModel::map_file(path);
+  const CompiledModel mapped = CompiledModel::map_file(path);
 
   Dataset workload;
   workload.add(Event::kUopsIssuedAny, {1.0, 1.0, 1.0});
@@ -251,7 +251,7 @@ TEST(MappedModel, TableSpansPointIntoTheMappingNotCopies) {
   const Ensemble ensemble = trained_ensemble(17);
   const std::string path = temp_path("mapped_spans.v3.bin");
   save_model_v3_file(ensemble, path);
-  const MappedModel mapped = MappedModel::map_file(path);
+  const CompiledModel mapped = CompiledModel::map_file(path);
 
   // Every table span must sit inside one contiguous buffer — the mapping —
   // at exactly the file offsets the section table declares. If any table
@@ -275,7 +275,7 @@ TEST(MappedModel, TableSpansPointIntoTheMappingNotCopies) {
             static_cast<std::ptrdiff_t>(layout.section(Section::kY1).offset) - base);
   EXPECT_EQ(distance_to(mapped.view().strings.data()),
             static_cast<std::ptrdiff_t>(layout.section(Section::kStrings).offset) - base);
-  EXPECT_EQ(layout.file_size, mapped.file_size());
+  EXPECT_EQ(layout.file_size, mapped.bytes().size());
 
   // Mapped tables equal compiled tables value-for-value (the "by
   // construction" guarantee, spot-verified).
@@ -304,7 +304,7 @@ TEST_P(FuzzModelV3, EveryMutationIsRejectedWithADiagnostic) {
 
   // The unmutated artifact maps and stream-loads.
   write_file(path, clean);
-  EXPECT_NO_THROW(MappedModel::map_file(path));
+  EXPECT_NO_THROW(CompiledModel::map_file(path));
   {
     std::istringstream in(clean, std::ios::binary);
     EXPECT_NO_THROW(model::load_model_bin(in));
@@ -322,7 +322,7 @@ TEST_P(FuzzModelV3, EveryMutationIsRejectedWithADiagnostic) {
     // with the hardened validator's own diagnostic. Never a crash or
     // SIGBUS.
     try {
-      MappedModel::map_file(path, model::v3::Verify::kFull);
+      CompiledModel::map_file(path, model::v3::Verify::kFull);
       FAIL() << "mutation must be rejected (round " << round << ")";
     } catch (const std::exception& e) {
       const std::string what = e.what();
@@ -335,7 +335,7 @@ TEST_P(FuzzModelV3, EveryMutationIsRejectedWithADiagnostic) {
     // bounds — a mutated artifact either rejects with a diagnostic or
     // serves estimates without UB (ASan/UBSan runs enforce the latter).
     try {
-      const MappedModel survived = MappedModel::map_file(path);
+      const CompiledModel survived = CompiledModel::map_file(path);
       for (const counters::Event metric : survived.metrics()) {
         (void)metric;
       }
@@ -373,7 +373,7 @@ TEST(ModelV3Hardening, TargetedCorruptionsNameTheSectionAndOffset) {
                                       model::v3::Verify verify) {
     write_file(path, bytes);
     try {
-      MappedModel::map_file(path, verify);
+      CompiledModel::map_file(path, verify);
       FAIL() << "expected rejection containing '" << needle << "'";
     } catch (const std::exception& e) {
       EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
@@ -403,7 +403,7 @@ TEST(ModelV3Hardening, TargetedCorruptionsNameTheSectionAndOffset) {
     expect_rejected_at(bytes, "section x0 CRC mismatch",
                        model::v3::Verify::kFull);
     write_file(path, bytes);
-    EXPECT_NO_THROW(MappedModel::map_file(path));
+    EXPECT_NO_THROW(CompiledModel::map_file(path));
   }
   {
     std::string bytes = clean;
@@ -479,8 +479,8 @@ TEST(ModelV3Hardening, VerificationTiersSplitCrcWorkFromBoundsSafety) {
 
   // Clean artifacts pass both tiers.
   write_file(path, clean);
-  EXPECT_NO_THROW(MappedModel::map_file(path));
-  EXPECT_NO_THROW(MappedModel::map_file(path, model::v3::Verify::kFull));
+  EXPECT_NO_THROW(CompiledModel::map_file(path));
+  EXPECT_NO_THROW(CompiledModel::map_file(path, model::v3::Verify::kFull));
 
   // Flip a byte in the derived slopes table. The full tier names the
   // section; the structure tier maps the file — and because the
@@ -490,13 +490,13 @@ TEST(ModelV3Hardening, VerificationTiersSplitCrcWorkFromBoundsSafety) {
   bytes[layout.section(model::v3::Section::kSlopes).offset + 2] ^= 0x10;
   write_file(path, bytes);
   try {
-    MappedModel::map_file(path, model::v3::Verify::kFull);
+    CompiledModel::map_file(path, model::v3::Verify::kFull);
     FAIL() << "full verification must reject the slopes flip";
   } catch (const std::exception& e) {
     EXPECT_NE(std::string(e.what()).find("slopes"), std::string::npos)
         << e.what();
   }
-  const MappedModel mapped = MappedModel::map_file(path);
+  const CompiledModel mapped = CompiledModel::map_file(path);
   const CompiledModel compiled = CompiledModel::compile(ensemble);
   const Dataset workload = mixed_workload(5);
   const DatasetView view(workload);
@@ -709,7 +709,7 @@ TEST(ModelRegistry, CacheIterationSurvivesConcurrentOpenPublishAndGc) {
       for (int i = 0; i < 300; ++i) {
         const std::size_t k =
             static_cast<std::size_t>(t + i) % ids.size();
-        const std::shared_ptr<const MappedModel> mapped =
+        const std::shared_ptr<const CompiledModel> mapped =
             registry.open(ids[k]);
         expect_identical(mapped->estimate(view), expected[k]);
         opens.fetch_add(1);
@@ -797,7 +797,7 @@ TEST(ModelRegistry, HotSwapReaderNeverSeesATornMappingUnderConcurrentGc) {
     while (served.load() < 200 && !stop.load()) {
       const std::string latest = registry.latest();
       if (latest.empty()) continue;
-      std::shared_ptr<const MappedModel> mapped;
+      std::shared_ptr<const CompiledModel> mapped;
       try {
         mapped = registry.open(latest);
       } catch (const std::runtime_error&) {
@@ -821,6 +821,130 @@ TEST(ModelRegistry, HotSwapReaderNeverSeesATornMappingUnderConcurrentGc) {
 }
 
 // --------------------------------------------------------------------------
+// One image: an owned (compiled) model and a mapped one are the same bytes
+// --------------------------------------------------------------------------
+
+TEST(OneImage, CompiledBytesAreTheWriterBytesAndThePublishedObject) {
+  const Ensemble ensemble = trained_ensemble(17);
+  const std::string bytes = model_v3_bytes(ensemble);
+  EXPECT_EQ(CompiledModel::compile(ensemble).bytes(), bytes);
+
+  ModelRegistry registry(fresh_registry_root("reg_one_image"));
+  const std::string id = registry.publish(ensemble);
+  EXPECT_EQ(id, util::fnv1a64_hex(bytes));
+  std::ifstream raw(registry.object_path(id), std::ios::binary);
+  std::stringstream stored;
+  stored << raw.rdbuf();
+  EXPECT_EQ(stored.str(), bytes);
+  EXPECT_EQ(registry.open(id)->bytes(), bytes);
+}
+
+TEST(OneImage, CheckedInModelsKeepTheirRegistryIds) {
+  // Fixed content ids of testdata/models/*.model: any change to the v3
+  // writer's bytes, and so to every published id, fails here.
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"handwritten.model", "ba4282b26557ca48"},
+      {"trained_multi.model", "bf200e29c4e409ed"},
+      {"trained_parboil.model", "e592658f6fb015d3"},
+  };
+  ModelRegistry registry(fresh_registry_root("reg_checked_in"));
+  for (const auto& [name, id] : expected) {
+    const std::string path =
+        std::string(SPIRE_TESTDATA_DIR) + "/models/" + name;
+    EXPECT_EQ(registry.publish_file(path), id) << name;
+    const Ensemble ensemble = model::load_model_file(path);
+    EXPECT_EQ(util::fnv1a64_hex(CompiledModel::compile(ensemble).bytes()), id)
+        << name;
+  }
+}
+
+TEST(OneImage, BatchOwnedAndMappedAreBitIdenticalOnEveryPath) {
+  const Ensemble ensemble = trained_ensemble(29);
+  const CompiledModel owned = CompiledModel::compile(ensemble);
+  const std::string path = temp_path("one_image_batch.v3.bin");
+  save_model_v3_file(ensemble, path);
+  const CompiledModel mapped = CompiledModel::map_file(path);
+  ASSERT_EQ(owned.bytes(), mapped.bytes());
+
+  std::vector<Dataset> workloads;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    workloads.push_back(mixed_workload(seed));
+  }
+  // A workload sharing no metric with the model: estimate throws, and
+  // estimate_many reports the same text per item.
+  workloads.emplace_back().add(Event::kUopsIssuedAny, {1.0, 1.0, 1.0});
+  const std::vector<DatasetView> views(workloads.begin(), workloads.end());
+  const std::size_t usable = views.size() - 1;
+
+  std::vector<Estimate> reference;
+  std::vector<model::Merge> merges;
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const model::Merge merge =
+        i % 2 == 0 ? model::Merge::kTimeWeighted : model::Merge::kUnweighted;
+    merges.push_back(merge);
+    if (i < usable) {
+      reference.push_back(ensemble.estimate(views[i], merge));
+      expect_identical(reference.back(), owned.estimate(views[i], merge));
+      expect_identical(reference.back(), mapped.estimate(views[i], merge));
+    }
+  }
+  std::string no_shared_metric;
+  try {
+    ensemble.estimate(views.back());
+  } catch (const std::invalid_argument& e) {
+    no_shared_metric = e.what();
+  }
+  ASSERT_FALSE(no_shared_metric.empty());
+
+  const std::span<const DatasetView> usable_views(views.data(), usable);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
+                                    std::size_t{8}}) {
+    for (const CompiledModel* model : {&owned, &mapped}) {
+      const auto batch =
+          model->estimate_batch(usable_views, util::ExecOptions{threads});
+      ASSERT_EQ(batch.size(), usable) << threads << " threads";
+      for (std::size_t i = 0; i < usable; ++i) {
+        expect_identical(ensemble.estimate(views[i]), batch[i]);
+      }
+    }
+  }
+
+  for (const CompiledModel* model : {&owned, &mapped}) {
+    const auto outcomes = model->estimate_many(views, merges);
+    ASSERT_EQ(outcomes.size(), views.size());
+    for (std::size_t i = 0; i < usable; ++i) {
+      ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
+      expect_identical(reference[i], *outcomes[i].estimate);
+    }
+    EXPECT_FALSE(outcomes.back().ok());
+    EXPECT_EQ(outcomes.back().error, no_shared_metric);
+  }
+}
+
+TEST(OneImage, MovedOwnedModelKeepsItsSpansAndPlan) {
+  const Ensemble ensemble = trained_ensemble(17);
+  CompiledModel source = CompiledModel::compile(ensemble);
+  const EvalTables before = source.tables();  // builds the plan
+  const char* image = source.bytes().data();
+  ASSERT_NE(before.plan, nullptr);
+
+  const CompiledModel moved(std::move(source));
+  const EvalTables after = moved.tables();
+  EXPECT_EQ(moved.bytes().data(), image);
+  EXPECT_EQ(after.plan, before.plan);
+  EXPECT_EQ(after.metrics.data(), before.metrics.data());
+  EXPECT_EQ(after.ranges.data(), before.ranges.data());
+  EXPECT_EQ(after.x0.data(), before.x0.data());
+  EXPECT_EQ(after.y0.data(), before.y0.data());
+  EXPECT_EQ(after.x1.data(), before.x1.data());
+  EXPECT_EQ(after.y1.data(), before.y1.data());
+
+  const Dataset workload = mixed_workload(4);
+  const DatasetView view(workload);
+  expect_identical(ensemble.estimate(view), moved.estimate(view));
+}
+
+// --------------------------------------------------------------------------
 // Service + engine integration
 // --------------------------------------------------------------------------
 
@@ -828,9 +952,7 @@ TEST(EstimationService, FromRegistryServesBitIdentically) {
   const Ensemble ensemble = trained_ensemble(17);
   ModelRegistry registry(fresh_registry_root("reg_service"));
   const std::string id = registry.publish(ensemble);
-  const EstimationService service =
-      EstimationService::from_registry(registry, id);
-  EXPECT_TRUE(service.zero_copy());
+  const EstimationService service(registry.open(id));
   EXPECT_EQ(service.metric_count(), ensemble.metric_count());
 
   const std::string csv = temp_path("reg_service.csv");
@@ -862,12 +984,16 @@ TEST(EngineServe, CompileV3PublishAndResolveStages) {
   producer.load_model(model_path).compile_v3(v3_path).publish(root);
   const std::string id = producer.context().published_id;
   ASSERT_EQ(id.size(), 16u);
-  EXPECT_NO_THROW(MappedModel::map_file(v3_path));
+  EXPECT_NO_THROW(CompiledModel::map_file(v3_path));
+  // One image: the file compile_v3 wrote is the object publish stored.
+  EXPECT_EQ(id, util::fnv1a64_hex(model_v3_bytes(ensemble)));
+  EXPECT_EQ(CompiledModel::map_file(v3_path).bytes(),
+            producer.context().model->bytes());
 
   // Serve-side: resolve by content id, estimate through the mapping.
   pipeline::Engine consumer;
   consumer.resolve_model(root, id).estimate_batch({csv_path});
-  ASSERT_NE(consumer.context().mapped, nullptr);
+  ASSERT_NE(consumer.context().model, nullptr);
   ASSERT_TRUE(consumer.context().ensemble.has_value());
   ASSERT_EQ(consumer.context().batch_results.size(), 1u);
   ASSERT_TRUE(consumer.context().batch_results[0].ok());

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -210,14 +211,18 @@ TEST(CompiledModel, CheckedInModelsRoundTripAndServeIdentically) {
   EXPECT_GE(models, 3u);
 }
 
-TEST(CompiledModel, FromFileSniffsBothFormats) {
+TEST(CompiledModel, EveryLoadedFormatCompilesToOneImage) {
   const Ensemble ensemble = trained_ensemble(41);
   const std::string text_path = ::testing::TempDir() + "/serve_model.model";
   const std::string bin_path = ::testing::TempDir() + "/serve_model.bin";
   model::save_model_file(ensemble, text_path);
   model::save_model_bin_file(ensemble, bin_path);
-  const CompiledModel from_text = CompiledModel::from_file(text_path);
-  const CompiledModel from_bin = CompiledModel::from_file(bin_path);
+  const CompiledModel from_text =
+      CompiledModel::compile(model::load_model_any_file(text_path));
+  const CompiledModel from_bin =
+      CompiledModel::compile(model::load_model_any_file(bin_path));
+  EXPECT_EQ(from_text.bytes(), model_v3_bytes(ensemble));
+  EXPECT_EQ(from_bin.bytes(), model_v3_bytes(ensemble));
   const Dataset workload = mixed_workload(3);
   const DatasetView view(workload);
   const Estimate reference = ensemble.estimate(view);
@@ -272,32 +277,31 @@ TEST(EstimationService, IsolatesPerFileFailures) {
   }
 }
 
-TEST(EstimationService, FromFilePicksTheBackendByFormat) {
+TEST(EstimationService, OwnedAndMappedModelsServeFilesIdentically) {
   const Ensemble ensemble = trained_ensemble(41);
-  const std::string bin_path = ::testing::TempDir() + "/serve_service.bin";
-  model::save_model_bin_file(ensemble, bin_path);
-  const EstimationService from_v2 = EstimationService::from_file(bin_path);
-  EXPECT_EQ(from_v2.metric_count(), ensemble.metric_count());
-  EXPECT_FALSE(from_v2.zero_copy());  // v2 has no flat tables to map
+  const EstimationService owned(CompiledModel::compile(ensemble));
+  EXPECT_EQ(owned.metric_count(), ensemble.metric_count());
 
   const std::string v3_path = ::testing::TempDir() + "/serve_service.v3.bin";
   save_model_v3_file(ensemble, v3_path);
-  const EstimationService from_v3 = EstimationService::from_file(v3_path);
-  EXPECT_EQ(from_v3.metric_count(), ensemble.metric_count());
-  EXPECT_TRUE(from_v3.zero_copy());
+  const EstimationService mapped(std::make_shared<const CompiledModel>(
+      CompiledModel::map_file(v3_path)));
+  EXPECT_EQ(mapped.metric_count(), ensemble.metric_count());
 
-  // Both backends serve the same file to the same bits.
+  // Both serve the same file to the same bits.
   const std::string csv_path = ::testing::TempDir() + "/serve_service.csv";
   {
     std::ofstream out(csv_path);
     mixed_workload(11).save_csv(out);
   }
   const std::vector<std::string> paths = {csv_path};
-  const auto a = from_v2.estimate_files(paths);
-  const auto b = from_v3.estimate_files(paths);
+  const auto a = owned.estimate_files(paths);
+  const auto b = mapped.estimate_files(paths);
   ASSERT_TRUE(a[0].ok());
   ASSERT_TRUE(b[0].ok());
   expect_identical(*a[0].estimate, *b[0].estimate);
+  expect_identical(ensemble.estimate(DatasetView(mixed_workload(11))),
+                   *a[0].estimate);
 }
 
 // --------------------------------------------------------------------------
@@ -319,8 +323,8 @@ TEST(EngineServe, CompileAndEstimateBatchStages) {
       .compile()
       .estimate_batch({csv_path, "/nonexistent/serve_engine_missing.csv"});
   const auto& ctx = engine.context();
-  ASSERT_TRUE(ctx.compiled.has_value());
-  EXPECT_EQ(ctx.compiled->metric_count(), ensemble.metric_count());
+  ASSERT_NE(ctx.model, nullptr);
+  EXPECT_EQ(ctx.model->metric_count(), ensemble.metric_count());
   ASSERT_EQ(ctx.batch_results.size(), 2u);
   ASSERT_TRUE(ctx.batch_results[0].ok());
   EXPECT_FALSE(ctx.batch_results[1].ok());
@@ -339,7 +343,7 @@ TEST(EngineServe, EstimateBatchCompilesOnDemand) {
   }
   pipeline::Engine engine;
   engine.load_model(model_path).estimate_batch({csv_path});
-  EXPECT_TRUE(engine.context().compiled.has_value());
+  EXPECT_NE(engine.context().model, nullptr);
   ASSERT_EQ(engine.context().batch_results.size(), 1u);
   EXPECT_TRUE(engine.context().batch_results[0].ok());
 }

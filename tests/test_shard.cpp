@@ -278,7 +278,7 @@ class ShardTest : public ::testing::Test {
 
   std::unique_ptr<ModelRegistry> registry_;
   std::string model_id_;
-  std::shared_ptr<const MappedModel> model_;
+  std::shared_ptr<const CompiledModel> model_;
 };
 
 TEST_F(ShardTest, EstimatesBitIdenticallyToTheEnsemble) {
