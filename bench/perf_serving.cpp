@@ -4,8 +4,8 @@
 // Measures estimates/sec over the full workload suite for three modes —
 // the train-time object graph evaluated serially (the pre-serve baseline),
 // the compiled model evaluated serially, and the compiled batch path across
-// a pool — plus the model artifact load times (text v1 parse vs binary v2
-// deserialize vs compile vs v3 mmap) and the cold/warm first-estimate
+// a pool — plus the model artifact load times (text v1 parse vs binary v3
+// stream load vs compile vs v3 mmap) and the cold/warm first-estimate
 // latency of the mmap path, and emits everything as BENCH_serving.json.
 //
 // Hard contracts verified on every run:
@@ -13,9 +13,9 @@
 //    reproduce Ensemble::estimate exactly on the single and batch paths (at
 //    1, 4, and 8 threads) — same
 //    throughput bits, ranking order, sample counts, and skip reasons;
-//  * the binary-load + compile floor: standing up a serving instance from
-//    the v2 artifact must take <= 0.1 s (full mode; --smoke skips timing
-//    floors but never the identity checks);
+//  * the binary-load + compile floor: standing up a serving instance by
+//    stream-loading the v3 artifact must take <= 0.1 s (full mode;
+//    --smoke skips timing floors but never the identity checks);
 //  * the batch-kernel refactor pays: in the segment-lookup-bound regime
 //    (deeply subdivided model, tables far beyond cache) the plan/execute
 //    kernel must deliver >= 4x the single-thread estimates/s of the
@@ -23,8 +23,8 @@
 //    hardware; skipped — structured — anywhere the vectorized kernel
 //    cannot run);
 //  * cold-start elimination: opening the v3 artifact (median mmap +
-//    structure-tier validation) must be >= 5x faster than deserializing
-//    the v2 artifact (full mode only — micro-timings in a throttled smoke
+//    structure-tier validation) must be >= 5x faster than stream-loading
+//    it (full mode only — micro-timings in a throttled smoke
 //    container measure the machine). Measured on a fleet-scale model —
 //    every roofline piece split into collinear sub-pieces, preserving the
 //    function — because at trained-model sizes (tens of KB) both paths
@@ -60,7 +60,6 @@
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
 #include "serve/compiled_model.h"
-#include "serve/model_v3.h"
 #include "serve/profile_bin.h"
 #include "spire/model_io.h"
 #include "util/thread_pool.h"
@@ -198,7 +197,7 @@ int main(int argc, char** argv) {
 
   // --- bit-identity: owned and mapped images, single and batch at 1/4/8 ---
   const std::string v3_path = bench::cache_dir() + "/serving_model.v3.bin";
-  serve::save_model_v3_file(ensemble, v3_path);
+  model::save_model_bin_file(ensemble, v3_path);
   const auto mapped = serve::CompiledModel::map_file(v3_path);
   std::vector<model::Estimate> reference;
   reference.reserve(views.size());
@@ -220,14 +219,12 @@ int main(int argc, char** argv) {
 
   // --- artifact load times -------------------------------------------------
   const std::string text_path = bench::cache_dir() + "/serving_model.model";
-  const std::string bin_path = bench::cache_dir() + "/serving_model.bin";
   model::save_model_file(ensemble, text_path);
-  model::save_model_bin_file(ensemble, bin_path);
   auto start = Clock::now();
   const auto from_text = model::load_model_file(text_path);
   const double text_load_s = seconds_since(start);
   start = Clock::now();
-  const auto from_bin = model::load_model_bin_file(bin_path);
+  const auto from_bin = model::load_model_bin_file(v3_path);
   const double bin_load_s = seconds_since(start);
   start = Clock::now();
   const auto recompiled = serve::CompiledModel::compile(from_bin);
@@ -292,7 +289,7 @@ int main(int argc, char** argv) {
       bin_view_pps, istream_pps > 0.0 ? bin_view_pps / istream_pps : 0.0);
 
   // --- cold-start: mmap open vs deserialize, at fleet scale ----------------
-  // Medians over repeated loads; the v2 number is re-measured the same way
+  // Medians over repeated loads; the stream load is measured the same way
   // so the ratio compares like with like. "Cold" includes mapping +
   // structure-tier validation + the first estimate through the fresh
   // mapping (first touch faults the pages in); "warm" reuses a standing
@@ -301,19 +298,16 @@ int main(int argc, char** argv) {
   // size regime where cold start actually matters.
   const auto fleet = fleet_scale(ensemble, 50);
   const auto fleet_compiled = serve::CompiledModel::compile(fleet);
-  const std::string fleet_bin_path =
-      bench::cache_dir() + "/serving_fleet.bin";
   const std::string fleet_v3_path =
       bench::cache_dir() + "/serving_fleet.v3.bin";
-  model::save_model_bin_file(fleet, fleet_bin_path);
-  serve::save_model_v3_file(fleet, fleet_v3_path);
+  model::save_model_bin_file(fleet, fleet_v3_path);
   const auto fleet_mapped = serve::CompiledModel::map_file(fleet_v3_path);
   const bool fleet_identical =
       identical({fleet_compiled.estimate(views.front())},
                 {fleet_mapped.estimate(views.front())});
   const int load_reps = smoke ? 3 : 15;
   const double bin_load_median_s = median_seconds(
-      load_reps, [&] { (void)model::load_model_bin_file(fleet_bin_path); });
+      load_reps, [&] { (void)model::load_model_bin_file(fleet_v3_path); });
   const double mmap_load_s = median_seconds(
       load_reps, [&] { (void)serve::CompiledModel::map_file(fleet_v3_path); });
   const double cold_estimate_s = median_seconds(load_reps, [&] {
@@ -325,7 +319,7 @@ int main(int argc, char** argv) {
   const double mmap_ratio =
       mmap_load_s > 0.0 ? bin_load_median_s / mmap_load_s : 0.0;
   std::printf(
-      "cold start at fleet scale (%zu pieces, v3 %zu bytes): v2 deserialize "
+      "cold start at fleet scale (%zu pieces, v3 %zu bytes): v3 stream load "
       "%.6f s, v3 mmap open %.6f s (%.1fx), first estimate cold %.6f s / "
       "warm %.6f s\n",
       fleet_compiled.piece_count(), fleet_mapped.bytes().size(),
@@ -518,7 +512,7 @@ int main(int argc, char** argv) {
        << ", \"profile_bin_view_per_s\": " << bin_view_pps << "},\n"
        << "  \"fleet_scale\": {\"pieces\": " << fleet_compiled.piece_count()
        << ", \"v3_bytes\": " << fleet_mapped.bytes().size()
-       << ", \"v2_deserialize_median_s\": " << bin_load_median_s
+       << ", \"stream_load_median_s\": " << bin_load_median_s
        << ", \"mmap_open_median_s\": " << mmap_load_s << "},\n"
        << "  \"first_estimate_seconds\": {\"cold_mmap\": " << cold_estimate_s
        << ", \"warm_mmap\": " << warm_estimate_s << "},\n"
@@ -580,7 +574,7 @@ int main(int argc, char** argv) {
   }
   if (check_mmap && mmap_ratio < 5.0) {
     std::fprintf(stderr,
-                 "FAIL: v3 mmap load only %.2fx faster than v2 deserialize, "
+                 "FAIL: v3 mmap load only %.2fx faster than its stream load, "
                  "need >= 5x\n",
                  mmap_ratio);
     failed = true;

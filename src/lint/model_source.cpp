@@ -302,33 +302,13 @@ std::string fmt17(double v) {
   return os.str();
 }
 
-/// Walks the v2 section framing (u32 count, then u32 size + payload per
-/// metric) without interpreting payloads, returning the offset one past the
-/// last section — the point where a v3 file's flat region begins. nullopt
-/// when the framing itself runs off the end; the strict loader will name
-/// the defect.
-std::optional<std::size_t> v2_body_end(const std::string& bytes) {
-  std::size_t cursor = model::kModelBinMagicV3.size();
-  if (cursor + 4 > bytes.size()) return std::nullopt;
-  const std::uint32_t count = load_u32le(bytes, cursor);
-  cursor += 4;
-  if (count > model::v3::kMaxMetricSections) return std::nullopt;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (cursor + 4 > bytes.size()) return std::nullopt;
-    const std::uint32_t size = load_u32le(bytes, cursor);
-    cursor += 4;
-    if (size > bytes.size() - cursor) return std::nullopt;
-    cursor += size;
-  }
-  return cursor;
-}
-
 /// Compares a validated flat region against the tables the strict model
-/// flattens to (an independent re-walk of what the v3 writer in
-/// serve/model_v3.cpp emits). Returns "" on bit-exact agreement, else a message naming the
-/// first divergent metric/table. A mismatch means the artifact's serving
-/// tables answer differently than its own v2 body — exactly the drift the
-/// v3 writer's by-construction guarantee exists to prevent.
+/// flattens to (an independent re-walk of what the writer in
+/// spire/model_io_bin.cpp emits). Returns "" on bit-exact agreement, else a
+/// message naming the first divergent metric/table. A mismatch means the
+/// artifact's serving tables answer differently than its own metric
+/// sections — exactly the drift the writer's by-construction guarantee
+/// exists to prevent.
 std::string flat_tables_mismatch(const std::string& bytes,
                                  const model::v3::FlatLayout& layout,
                                  const model::Ensemble& ensemble) {
@@ -442,15 +422,16 @@ std::string flat_tables_mismatch(const std::string& bytes,
   return {};
 }
 
-/// v3 lint path. The v2 body and the flat region are validated
-/// INDEPENDENTLY — a corrupt flat table must not suppress the body's
-/// findings and vice versa — so the body is carved out of the file by its
-/// section framing and strict-loaded as a v2 stream, while the flat region
-/// goes through the same check_flat_region the mmap reader runs.
-RawModel parse_raw_v3_model(const std::string& path) {
+/// Binary lint path. The metric sections and the flat region are validated
+/// INDEPENDENTLY — a corrupt flat table must not suppress the sections'
+/// findings and vice versa — so the sections go through the loader's own
+/// section parser, which stops where the flat region begins, while the
+/// flat region goes through the same check_flat_region the mmap reader
+/// runs. A file under another binary magic (retired v2, a future version)
+/// has no flat region to check; the section parser's magic check names it.
+RawModel parse_raw_binary_model(const std::string& path) {
   RawModel raw;
   raw.binary = true;
-  raw.binary_version = 3;
 
   std::ifstream in(path, std::ios::binary);
   std::string bytes;
@@ -465,27 +446,20 @@ RawModel parse_raw_v3_model(const std::string& path) {
   }
 
   std::optional<model::v3::FlatLayout> layout;
-  try {
-    layout = model::v3::check_flat_region(
-        std::as_bytes(std::span(bytes.data(), bytes.size())), 0,
-        util::crc32_init());
-  } catch (const std::exception& e) {
-    raw.flat_issues.push_back(e.what());
+  if (bytes.starts_with(model::kModelBinMagicV3)) {
+    try {
+      layout = model::v3::check_flat_region(
+          std::as_bytes(std::span(bytes.data(), bytes.size())), 0,
+          util::crc32_init());
+    } catch (const std::exception& e) {
+      raw.flat_issues.push_back(e.what());
+    }
   }
 
   std::optional<model::Ensemble> ensemble;
   try {
-    std::string carved(model::kModelBinMagic);
-    if (const auto body_end = v2_body_end(bytes)) {
-      carved.append(bytes, model::kModelBinMagicV3.size(),
-                    *body_end - model::kModelBinMagicV3.size());
-      std::istringstream body(carved, std::ios::binary);
-      ensemble = model::load_model_bin(body);
-    } else {
-      // The framing itself is broken — let the strict loader of the whole
-      // file produce its section/offset diagnostic.
-      ensemble = model::load_model_bin_file(path);
-    }
+    std::istringstream sections(bytes, std::ios::binary);
+    ensemble.emplace(model::read_model_bin_sections(sections).rooflines);
   } catch (const std::exception& e) {
     raw.binary_error = e.what();
   }
@@ -496,7 +470,6 @@ RawModel parse_raw_v3_model(const std::string& path) {
     std::vector<std::string> flat_issues = std::move(raw.flat_issues);
     raw = parse_raw_model(text);
     raw.binary = true;
-    raw.binary_version = 3;
     raw.flat_issues = std::move(flat_issues);
     if (layout.has_value()) {
       raw.flat_mismatch = flat_tables_mismatch(bytes, *layout, *ensemble);
@@ -508,24 +481,7 @@ RawModel parse_raw_v3_model(const std::string& path) {
 }  // namespace
 
 RawModel parse_raw_model_file(const std::string& path) {
-  const int version = model::binary_model_file_version(path);
-  if (version == 3) return parse_raw_v3_model(path);
-  if (version != 0) {
-    RawModel raw;
-    raw.binary = true;
-    raw.binary_version = version;
-    try {
-      const model::Ensemble ensemble = model::load_model_bin_file(path);
-      std::stringstream text;
-      model::save_model(ensemble, text);
-      raw = parse_raw_model(text);
-      raw.binary = true;
-      raw.binary_version = version;
-    } catch (const std::exception& e) {
-      raw.binary_error = e.what();
-    }
-    return raw;
-  }
+  if (model::is_binary_model_file(path)) return parse_raw_binary_model(path);
   std::ifstream in(path);
   if (!in) {
     RawModel model;

@@ -58,23 +58,23 @@ struct RawModel {
   std::vector<RawMetricModel> metrics;
   std::vector<ParseIssue> issues;
 
-  /// True when the file was a binary artifact (v2 or v3; `binary_version`
-  /// says which). Binary files have no lenient line structure, so they are
-  /// linted through the STRICT loader plus a lossless conversion to the
-  /// text form: on success the fields above describe the converted text
-  /// (line numbers refer to it), on failure `binary_error` carries the
-  /// loader's message (with section and byte offset) and everything else
-  /// stays empty — the binary-load rule turns it into a finding.
+  /// True when the file was a binary artifact. Binary files have no
+  /// lenient line structure, so they are linted through the loader's
+  /// strict metric-section parser plus a lossless conversion to the text
+  /// form: on success the fields above describe the converted text (line
+  /// numbers refer to it), on failure `binary_error` carries the parser's
+  /// message (with section and byte offset, or the retired-v2 and
+  /// unsupported-version rejections) and everything else stays empty —
+  /// the binary-load rule turns it into a finding.
   ///
-  /// v3 artifacts additionally carry the flattened serving tables, which
-  /// are linted INDEPENDENTLY of the v2 body so one corrupt region never
-  /// hides the other's findings: `flat_issues` holds the flat validator's
-  /// diagnostics (section + byte offset; the flat-structure rule), and
-  /// `flat_mismatch` is non-empty when the flat tables validate but differ
-  /// from the tables the strict model would compile to (the flat-mismatch
-  /// rule — a drifted table serves different estimates than the ensemble).
+  /// The flattened serving tables are linted INDEPENDENTLY of the metric
+  /// sections so one corrupt region never hides the other's findings:
+  /// `flat_issues` holds the flat validator's diagnostics (section + byte
+  /// offset; the flat-structure rule), and `flat_mismatch` is non-empty
+  /// when the flat tables validate but differ from the tables the strict
+  /// model would compile to (the flat-mismatch rule — a drifted table
+  /// serves different estimates than the ensemble).
   bool binary = false;
-  int binary_version = 0;
   std::string binary_error;
   std::vector<std::string> flat_issues;
   std::string flat_mismatch;

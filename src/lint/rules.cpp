@@ -119,10 +119,11 @@ class EmptyModelRule final : public LintRule {
   }
 };
 
-/// Binary artifacts are linted through the strict loader plus a lossless
-/// conversion to the text form (model_source.h). When that load fails there
-/// is no lenient line structure for the other rules to point at, so the
-/// loader's message — which carries the metric section and byte offset —
+/// Binary artifacts are linted through the loader's strict metric-section
+/// parser plus a lossless conversion to the text form (model_source.h).
+/// When that parse fails there is no lenient line structure for the other
+/// rules to point at, so the parser's message — which carries the metric
+/// section and byte offset, or names a retired or unsupported version —
 /// becomes the file's one typed finding.
 class BinaryLoadRule final : public LintRule {
  public:
@@ -140,8 +141,9 @@ class BinaryLoadRule final : public LintRule {
 /// v3 artifacts append the flattened serving tables serve::CompiledModel
 /// points spans into; model_source runs the byte-level validator (the exact
 /// checks CompiledModel performs when it opens an image) independently of
-/// the v2 body, so a corrupt flat region gets its own section/offset
-/// finding even when the body still loads — and vice versa.
+/// the metric sections, so a corrupt flat region gets its own
+/// section/offset finding even when the sections still load — and vice
+/// versa.
 class FlatStructureRule final : public LintRule {
  public:
   std::string_view id() const override { return "flat-structure"; }
@@ -156,7 +158,7 @@ class FlatStructureRule final : public LintRule {
 };
 
 /// A v3 file whose flat tables validate but disagree with the tables its
-/// own v2 body compiles to would serve different estimates through the
+/// own metric sections compile to would serve different estimates through the
 /// mmap path than through the ensemble — the worst kind of drift, because
 /// both halves look healthy in isolation.
 class FlatMismatchRule final : public LintRule {

@@ -117,7 +117,7 @@ class Engine {
   /// context().ensemble.
   Engine& train();
 
-  /// Loads a serialized ensemble (text v1, binary v2/v3, sniffed) instead
+  /// Loads a serialized ensemble (text v1 or binary v3, sniffed) instead
   /// of training one.
   Engine& load_model(const std::string& path);
 

@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "serve/model_v3.h"
+#include "spire/model_io.h"
 
 namespace spire::serve {
 
@@ -13,7 +13,7 @@ using sampling::DatasetView;
 
 CompiledModel CompiledModel::compile(const model::Ensemble& ensemble) {
   auto image = std::make_unique<Image>();
-  image->owned = model_v3_bytes(ensemble);
+  image->owned = model::model_bin_bytes(ensemble);
   // Heap storage from operator new is at least 16-aligned, which is the
   // 8-alignment map_flat requires (and re-checks).
   image->bytes = image->owned;

@@ -12,7 +12,8 @@
 // is that image plus typed span views into it, whoever owns the bytes:
 //
 //  * compile(ensemble) serializes through the deterministic v3 writer
-//    (serve/model_v3.h) into a buffer the model owns;
+//    (model::model_bin_bytes, spire/model_io.h) into a buffer the model
+//    owns;
 //  * map_file(path) maps a v3 file read-only and validates the bytes
 //    BEFORE any span is formed. The default open runs the structure tier
 //    — footer/header/section geometry against the fstat'd size, range

@@ -25,18 +25,6 @@
 #define SPIRE_PREFETCH(addr) ((void)0)
 #endif
 
-// The execute phase's inner loops are written branch-free (value selects
-// over unconditionally computed lanes) so the compiler can vectorize them.
-// -DSPIRE_SIMD=ON additionally compiles with -fopenmp-simd and puts an
-// `omp simd` pragma on each loop; the un-pragma'd build is the scalar
-// fallback and the reference — both produce identical bits because every
-// lane's arithmetic is the same expression either way.
-#if defined(SPIRE_SIMD)
-#define SPIRE_SIMD_LOOP _Pragma("omp simd")
-#else
-#define SPIRE_SIMD_LOOP
-#endif
-
 namespace spire::serve {
 
 using model::Estimate;
@@ -534,7 +522,6 @@ void EvalBatch::sweep_eval(const EvalTables& tables, std::size_t begin,
 
   // Phase 2 (execute): branchless segment select + endpoint
   // interpolation (see select_piece for the select chain).
-  SPIRE_SIMD_LOOP
   for (std::size_t k = lo; k < hi; ++k) {
     ps_[k] = select_piece(tables, xs_[k], seg_[k], begin, end);
   }
@@ -644,7 +631,6 @@ void EvalBatch::search_eval(const EvalTables& tables,
       i += detail::avx2_select(simd_args);
     }
 #endif
-    SPIRE_SIMD_LOOP
     for (std::size_t k = i; k < bhi; ++k) {
       const double x = xs_[k];
       const std::uint64_t ml =

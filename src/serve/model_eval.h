@@ -36,8 +36,8 @@
 //    lower_bound that only moves right); batches below kMinPlanLanes run
 //    the scalar reference outright (and are counted as such). The segment
 //    select + endpoint interpolation runs branchless — integer-mask
-//    blends in the portable build, a 4-wide AVX2 block (runtime-dispatched
-//    behind __builtin_cpu_supports) when the build sets -DSPIRE_SIMD=ON.
+//    blends in the portable chain, a 4-wide AVX2 block (runtime-dispatched
+//    behind __builtin_cpu_supports) on x86-64 builds.
 //    Bit-identity holds by construction: the arithmetic per lane is
 //    LinearPiece::at's exact endpoint-form expression and only the ORDER
 //    and MECHANISM of segment lookup move. Debug/SPIRE_CHECKED builds
@@ -186,8 +186,8 @@ struct EvalCountersSnapshot {
 
 EvalCountersSnapshot eval_counters_snapshot();
 
-/// True when the AVX2 select kernel is compiled into this binary
-/// (SPIRE_SIMD=ON on an x86-64 toolchain) AND the running CPU executes
+/// True when the AVX2 select kernel is compiled into this binary (every
+/// x86-64 build whose compiler accepts -mavx2) AND the running CPU executes
 /// AVX2 — i.e. planned batches take the vectorized select. The portable
 /// build/CPU answer is false; results are bit-identical either way, so
 /// this only informs perf reporting (bench, serverctl stats), never
@@ -212,9 +212,10 @@ struct EvalOutcome {
 /// Determinism contract: estimate() is bit-identical to estimate_tables()
 /// (same ulps, ranking order, skip reasons, same exceptions), and
 /// estimate_many() is bit-identical to calling estimate_tables() per
-/// workload with per-item error capture — at SPIRE_SIMD ON and OFF, at
-/// any batch composition. Enforced by a per-lane scalar cross-check in
-/// Debug/SPIRE_CHECKED builds and the EvalBatch property suite.
+/// workload with per-item error capture — on the AVX2 and the portable
+/// select alike, at any batch composition. Enforced by a per-lane scalar
+/// cross-check in Debug/SPIRE_CHECKED builds and the EvalBatch property
+/// suite.
 class EvalBatch {
  public:
   /// Batches below this many lanes skip the plan (sorting a handful of

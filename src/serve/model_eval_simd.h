@@ -1,7 +1,7 @@
 // Internal interface of the vectorized segment-select kernel
-// (model_eval_simd.cpp, compiled with -mavx2 only when the build sets
-// SPIRE_SIMD=ON on an x86-64 toolchain; the definition SPIRE_EVAL_AVX2
-// gates every reference). Runtime-dispatched: callers must check
+// (model_eval_simd.cpp, compiled with -mavx2 on every x86-64 build whose
+// compiler accepts the flag; the definition SPIRE_EVAL_AVX2 gates every
+// reference). Runtime-dispatched: callers must check
 // avx2_select_supported() first, so the rest of the serve library stays
 // runnable on any x86-64 CPU.
 //

@@ -14,7 +14,6 @@
 #include <fcntl.h>
 #endif
 
-#include "serve/model_v3.h"
 #include "spire/model_bin_v3.h"
 #include "spire/model_io.h"
 #include "util/hash.h"
@@ -109,7 +108,7 @@ std::string ModelRegistry::store_bytes_locked(std::string_view bytes) {
 }
 
 std::string ModelRegistry::publish(const model::Ensemble& ensemble) {
-  const std::string bytes = model_v3_bytes(ensemble);
+  const std::string bytes = model::model_bin_bytes(ensemble);
   util::MutexLock lock(mutex_);
   return store_bytes_locked(bytes);
 }

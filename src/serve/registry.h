@@ -1,8 +1,8 @@
 // Content-addressed model registry: the deployment store for v3 artifacts.
 //
 // An artifact's id IS the fnv1a64 hex of its bytes (util/hash.h). The v3
-// writer is deterministic, so publishing the same model — from an Ensemble,
-// a text v1 file, a binary v2 file, or an existing v3 file — always
+// writer (model::model_bin_bytes) is deterministic, so publishing the same
+// model — from an Ensemble, a text v1 file, or an existing v3 file — always
 // converges on the same id and the same stored bytes; publish is
 // idempotent and safe to race from any number of threads or processes.
 //
@@ -56,8 +56,9 @@ class ModelRegistry {
   /// Publishes the canonical v3 serialization of `ensemble`; returns its id.
   std::string publish(const model::Ensemble& ensemble) SPIRE_EXCLUDES(mutex_);
 
-  /// Loads any model format (text v1, binary v2/v3) from `path` and
-  /// publishes its canonical v3 form. Returns the id.
+  /// Loads any model format (text v1, binary v3) from `path` and publishes
+  /// its canonical v3 form. Returns the id. A retired binary v2 file is
+  /// rejected with the loader's "model-bin: ..." message.
   std::string publish_file(const std::string& path);
 
   /// Publishes pre-serialized v3 artifact bytes (for example a

@@ -352,7 +352,7 @@ FlatLayout check_flat_region(std::span<const std::byte> region,
 
   // --- whole-file CRC, last -------------------------------------------------
   // The catch-all for every byte the checks above do not pin down (padding,
-  // header fields, the v2 body for stream callers). Checked after the
+  // header fields, the metric sections for stream callers). Checked after the
   // per-section CRCs so payload corruption reports the pinpoint section
   // diagnostic rather than this generic one. Skipped at kStructure: it is
   // the one check whose cost scales with table bytes, and readers of

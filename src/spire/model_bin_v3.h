@@ -1,14 +1,15 @@
 // Binary model format v3: the flattened-tables wire layout.
 //
-// v3 is a strict superset of v2. The file opens with the v2 payload (magic
-// line aside, byte-identical encoding: metric count + per-metric sections),
-// so the stream deserializer keeps working; it then appends the flattened
-// serving tables, laid out so a reader (serve::CompiledModel, over an
-// owned buffer or an mmap of the file) can point spans straight into the
-// bytes — ZERO deserialization:
+// A v3 file opens with the metric sections (spire/model_io.h), which the
+// stream loader reads; it then appends the flattened serving tables, laid
+// out so a reader (serve::CompiledModel, over an owned buffer or an mmap of
+// the file) can point spans straight into the bytes — ZERO
+// deserialization. The writer (model::model_bin_bytes) and the stream
+// loader live in spire/model_io_bin.cpp; the flat-region validator and
+// map_flat live here.
 //
 //   "spire-model-bin v3\n"                     19 bytes
-//   u32 metric count + v2 metric sections      (identical to v2)
+//   u32 metric count + metric sections         (spire/model_io.h)
 //   zero padding to the next 8-byte boundary
 //   FlatHeader                                 24 bytes, 8-aligned
 //   SectionEntry x 9                           24 bytes each
@@ -57,7 +58,8 @@
 
 namespace spire::model::v3 {
 
-// Shared hardening caps (the v2 loader enforces the same bounds).
+// Shared hardening caps (the metric-section parser enforces the same
+// bounds).
 inline constexpr std::size_t kMaxMetricSections = 65'536;
 inline constexpr std::size_t kMaxRegionCorners = 65'536;
 inline constexpr std::size_t kMaxNameBytes = 256;
@@ -175,8 +177,8 @@ FlatView map_flat(std::span<const std::byte> file,
                   Verify verify = Verify::kFull);
 
 /// The writer's input: flattened tables spanning caller-owned storage
-/// (built by the flatten walk in serve/model_v3.cpp, the only one serving
-/// uses).
+/// (built by the flatten walk in spire/model_io_bin.cpp, the only one
+/// serving uses).
 struct FlatTables {
   std::span<const std::string_view> names;  // per metric, file order
   std::span<const MetricRange> ranges;      // parallel to names
@@ -184,8 +186,8 @@ struct FlatTables {
 };
 
 /// Appends padding + FlatHeader + section table + payloads + Footer to
-/// `out`, which must already hold the v3 magic and the v2 payload. Derives
-/// the slopes/intercepts tables from the endpoints.
+/// `out`, which must already hold the v3 magic and the metric sections.
+/// Derives the slopes/intercepts tables from the endpoints.
 void append_flat(std::string& out, const FlatTables& tables);
 
 }  // namespace spire::model::v3

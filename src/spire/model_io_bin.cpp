@@ -1,5 +1,6 @@
-// Binary model formats v2 and v3 (see model_io.h for the v2 wire layout,
-// model_bin_v3.h for the flat region v3 appends).
+// Binary model format v3: the writer (metric sections + the flatten walk
+// that defines the flat tables) and the stream loader (see model_io.h for
+// the metric-section layout, model_bin_v3.h for the flat region).
 //
 // The loader treats every input as adversarial: the magic and version are
 // checked first, each metric section's byte count is bounded by a hard cap
@@ -9,10 +10,10 @@
 // across hosts. Truncation at any byte and bit flips anywhere must produce
 // a clean std::runtime_error ("model-bin: ..." / "model-v3: ..."), never a
 // crash, hang, or oversized allocation — mirroring the text loader's
-// hardening. For v3 the loader additionally accumulates a streaming CRC
-// over the metric sections so the flat region's whole-file CRC can be
-// verified, and cross-checks the flat header's counts against the parsed
-// sections: a v3 file that stream-loads is also guaranteed mappable.
+// hardening. The loader accumulates a streaming CRC over the metric
+// sections so the flat region's whole-file CRC can be verified, and
+// cross-checks the flat header's counts against the parsed sections: a
+// file that stream-loads is also guaranteed mappable.
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -26,6 +27,7 @@
 
 #include "spire/model_bin_v3.h"
 #include "spire/model_io.h"
+#include "util/contract.h"
 #include "util/hash.h"
 
 namespace spire::model {
@@ -128,9 +130,9 @@ struct SectionReader {
   }
 };
 
-}  // namespace
-
-void append_model_bin_body(std::string& out, const Ensemble& ensemble) {
+/// The metric sections: u32 count, then a u32 byte count + payload per
+/// metric (everything between the magic line and the flat region).
+void append_sections(std::string& out, const Ensemble& ensemble) {
   put_u32(out, static_cast<std::uint32_t>(ensemble.rooflines().size()));
   for (const auto& [metric, roofline] : ensemble.rooflines()) {
     const std::string_view name = counters::event_name(metric);
@@ -170,46 +172,113 @@ void append_model_bin_body(std::string& out, const Ensemble& ensemble) {
   }
 }
 
+/// The flatten walk that defines the flat tables: every roofline's left
+/// then right pieces, metrics in ascending event order, as shared
+/// x0/y0/x1/y1 columns plus one MetricRange per metric. serve::CompiledModel
+/// reads its tables out of these bytes, so there is no second flattening to
+/// drift. (Lint re-flattens independently on purpose: that walk is the
+/// check that a file's tables match its metric sections.)
+void append_flat_tables(std::string& out, const Ensemble& ensemble) {
+  std::size_t pieces = 0;
+  for (const auto& [metric, roofline] : ensemble.rooflines()) {
+    if (roofline.left().has_value()) pieces += roofline.left()->pieces().size();
+    pieces += roofline.right().pieces().size();
+  }
+  std::vector<double> x0, y0, x1, y1;
+  x0.reserve(pieces);
+  y0.reserve(pieces);
+  x1.reserve(pieces);
+  y1.reserve(pieces);
+  std::vector<std::string_view> names;
+  std::vector<v3::MetricRange> ranges;
+  names.reserve(ensemble.rooflines().size());
+  ranges.reserve(ensemble.rooflines().size());
+
+  const auto append_region = [&](const PiecewiseLinear& region) {
+    for (const LinearPiece& p : region.pieces()) {
+      x0.push_back(p.x0);
+      y0.push_back(p.y0);
+      x1.push_back(p.x1);
+      y1.push_back(p.y1);
+    }
+  };
+
+  // std::map iteration = ascending Event order, the same order
+  // Ensemble::estimate materializes its per-metric tasks in.
+  for (const auto& [metric, roofline] : ensemble.rooflines()) {
+    v3::MetricRange range;
+    range.left_begin = static_cast<std::uint32_t>(x0.size());
+    if (roofline.left().has_value()) {
+      append_region(*roofline.left());
+      range.left_max = roofline.left()->domain_max();
+    }
+    range.left_end = static_cast<std::uint32_t>(x0.size());
+    range.right_begin = range.left_end;
+    append_region(roofline.right());
+    range.right_end = static_cast<std::uint32_t>(x0.size());
+    SPIRE_ASSERT(range.right_end > range.right_begin,
+                 "model-v3: empty right region for metric ",
+                 counters::event_name(metric));
+    names.push_back(counters::event_name(metric));
+    ranges.push_back(range);
+  }
+  v3::append_flat(out, {names, ranges, x0, y0, x1, y1});
+}
+
+}  // namespace
+
+std::string model_bin_bytes(const Ensemble& ensemble) {
+  std::string out(kModelBinMagicV3);
+  append_sections(out, ensemble);
+  append_flat_tables(out, ensemble);
+  return out;
+}
+
 void save_model_bin(const Ensemble& ensemble, std::ostream& out) {
-  std::string body;
-  append_model_bin_body(body, ensemble);
-  out.write(kModelBinMagic.data(),
-            static_cast<std::streamsize>(kModelBinMagic.size()));
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  const std::string bytes = model_bin_bytes(ensemble);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!out) fail("write failed");
 }
 
-Ensemble load_model_bin(std::istream& in) {
+void save_model_bin_file(const Ensemble& ensemble, const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) fail("cannot write " + path);
+  save_model_bin(ensemble, out);
+}
+
+ModelBinSections read_model_bin_sections(std::istream& in) {
   // --- magic + version ----------------------------------------------------
-  std::string magic(kModelBinMagic.size(), '\0');
+  std::string magic(kModelBinMagicV3.size(), '\0');
   in.read(magic.data(), static_cast<std::streamsize>(magic.size()));
-  int version = 0;
-  if (static_cast<std::size_t>(in.gcount()) == magic.size()) {
-    if (magic == kModelBinMagic) version = 2;
-    if (magic == kModelBinMagicV3) version = 3;
-  }
-  if (version == 0) {
+  magic.resize(static_cast<std::size_t>(in.gcount()));
+  if (magic != kModelBinMagicV3) {
+    constexpr std::string_view kRetiredV2 = "spire-model-bin v2";
     const std::string line = magic.substr(0, magic.find('\n'));
+    if (line == kRetiredV2) {
+      fail(std::string(kRetiredV2) +
+           " is retired; this build reads only v3. Convert the model to "
+           "text v1 with a build that still reads v2 (spire_cli compile "
+           "MODEL --text --out MODEL.txt), then compile that file");
+    }
     if (line.rfind("spire-model-bin v", 0) == 0) {
       fail("unsupported binary model format version " + line.substr(16) +
-           " (this build reads v" + std::to_string(kModelBinFormatVersion) +
-           " and v" + std::to_string(kModelBinV3FormatVersion) + ")");
+           " (this build reads v" + std::to_string(kModelBinV3FormatVersion) +
+           ")");
     }
     fail("bad magic (expected '" +
-         std::string(kModelBinMagic.substr(0, kModelBinMagic.size() - 1)) +
+         std::string(kModelBinMagicV3.substr(0, kModelBinMagicV3.size() - 1)) +
          "')");
   }
 
-  // v3 carries a whole-file CRC in its footer; accumulate the stream CRC
-  // over every byte we consume so the flat-region validator can verify it.
-  std::uint32_t crc = util::crc32_init();
-  if (version == 3) crc = util::crc32_update(crc, magic);
-
-  const auto read_u32 = [&in, &crc, version](const char* what) {
+  // The flat region's footer carries a whole-file CRC; accumulate the
+  // stream CRC over every byte consumed so the validator can verify it.
+  ModelBinSections out;
+  out.crc = util::crc32_update(util::crc32_init(), magic);
+  const auto read_u32 = [&in, &out](const char* what) {
     char raw[4];
     in.read(raw, 4);
     if (in.gcount() != 4) fail(std::string("truncated before ") + what);
-    if (version == 3) crc = util::crc32_update(crc, std::string_view(raw, 4));
+    out.crc = util::crc32_update(out.crc, std::string_view(raw, 4));
     std::uint32_t v = 0;
     for (int i = 0; i < 4; ++i) {
       v |= static_cast<std::uint32_t>(static_cast<unsigned char>(raw[i]))
@@ -224,10 +293,8 @@ Ensemble load_model_bin(std::istream& in) {
          " exceeds the limit of " + std::to_string(kMaxMetricSections));
   }
 
-  std::map<Event, MetricRoofline> rooflines;
-  std::size_t offset = kModelBinMagic.size() + 4;
-  std::size_t total_pieces = 0;  // flat-table rows a v3 file must declare
-  std::size_t total_name_bytes = 0;
+  std::map<Event, MetricRoofline>& rooflines = out.rooflines;
+  std::size_t offset = kModelBinMagicV3.size() + 4;
   for (std::uint32_t section_index = 0; section_index < metric_count;
        ++section_index) {
     const std::uint32_t section_bytes = read_u32("section byte count");
@@ -248,7 +315,7 @@ Ensemble load_model_bin(std::istream& in) {
            " truncated: declared " + std::to_string(section_bytes) +
            " bytes, got " + std::to_string(in.gcount()));
     }
-    if (version == 3) crc = util::crc32_update(crc, buf);
+    out.crc = util::crc32_update(out.crc, buf);
 
     SectionReader r{buf, 0, section_index, offset};
     const std::uint32_t name_len = r.u32("name length");
@@ -319,20 +386,21 @@ Ensemble load_model_bin(std::istream& in) {
       r.fail_here(std::string("invalid right region: ") + e.what());
     }
     offset += section_bytes;
-    total_pieces += (left_count > 0 ? left_count - 1 : 0) + right_count;
-    total_name_bytes += name_len;
+    out.piece_count += (left_count > 0 ? left_count - 1 : 0) + right_count;
+    out.name_bytes += name_len;
   }
 
   if (rooflines.empty()) fail("no metrics");
-  if (version == 2) {
-    if (in.peek() != std::istream::traits_type::eof()) {
-      fail("trailing garbage after " + std::to_string(metric_count) +
-           " metric section(s) (at byte " + std::to_string(offset) + ")");
-    }
-    return Ensemble(std::move(rooflines));
-  }
+  out.end_offset = offset;
+  return out;
+}
 
-  // --- v3: validate the appended flat region --------------------------------
+Ensemble load_model_bin(std::istream& in) {
+  ModelBinSections sections = read_model_bin_sections(in);
+  const std::size_t metric_count = sections.rooflines.size();
+  const std::size_t offset = sections.end_offset;
+
+  // --- the flat region ------------------------------------------------------
   // The canonical writer's flat-region size is fully determined by the
   // sections just parsed, so the allocation is bounded by construction and
   // any size deviation is a structural error.
@@ -341,39 +409,40 @@ Ensemble load_model_bin(std::istream& in) {
   };
   const std::size_t expected_tail =
       (align_up(offset) - offset) + v3::kFlatHeaderBytes +
-      v3::kSectionCount * v3::kSectionEntryBytes +
-      32 * static_cast<std::size_t>(metric_count) +
-      align_up(total_name_bytes) + 48 * total_pieces + v3::kFooterBytes;
+      v3::kSectionCount * v3::kSectionEntryBytes + 32 * metric_count +
+      align_up(sections.name_bytes) + 48 * sections.piece_count +
+      v3::kFooterBytes;
   std::string tail(expected_tail + 1, '\0');
   in.read(tail.data(), static_cast<std::streamsize>(tail.size()));
   tail.resize(static_cast<std::size_t>(in.gcount()));
+  if (tail.size() > expected_tail) {
+    throw std::runtime_error("model-v3: trailing garbage after the " +
+                             std::to_string(expected_tail) +
+                             "-byte flat region (at byte " +
+                             std::to_string(offset + expected_tail) + ")");
+  }
   if (tail.size() != expected_tail) {
     throw std::runtime_error(
         "model-v3: flat region has " + std::to_string(tail.size()) +
-        (tail.size() > expected_tail ? "+" : "") + " byte(s) after the " +
-        std::to_string(metric_count) + " metric section(s), expected " +
-        std::to_string(expected_tail) + " (at byte " + std::to_string(offset) +
-        ")");
+        " byte(s) after the " + std::to_string(metric_count) +
+        " metric section(s), expected " + std::to_string(expected_tail) +
+        " (at byte " + std::to_string(offset) + ")");
   }
   const v3::FlatLayout layout = v3::check_flat_region(
-      std::as_bytes(std::span(tail.data(), tail.size())), offset, crc);
+      std::as_bytes(std::span(tail.data(), tail.size())), offset,
+      sections.crc);
   if (layout.metric_count != metric_count ||
-      layout.piece_count != total_pieces) {
+      layout.piece_count != sections.piece_count) {
     throw std::runtime_error(
         "model-v3: flat header declares " +
         std::to_string(layout.metric_count) + " metric(s) / " +
         std::to_string(layout.piece_count) +
         " piece(s) but the metric sections hold " +
-        std::to_string(metric_count) + " / " + std::to_string(total_pieces) +
-        " (at byte " + std::to_string(layout.flat_offset + 8) + ")");
+        std::to_string(metric_count) + " / " +
+        std::to_string(sections.piece_count) + " (at byte " +
+        std::to_string(layout.flat_offset + 8) + ")");
   }
-  return Ensemble(std::move(rooflines));
-}
-
-void save_model_bin_file(const Ensemble& ensemble, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("model-bin: cannot write " + path);
-  save_model_bin(ensemble, out);
+  return Ensemble(std::move(sections.rooflines));
 }
 
 Ensemble load_model_bin_file(const std::string& path) {
@@ -385,24 +454,11 @@ Ensemble load_model_bin_file(const std::string& path) {
 bool is_binary_model_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
-  // Any binary version counts: "spire-model-bin v" is enough to route the
-  // file to the binary loader (which then reports version drift precisely).
   constexpr std::string_view kPrefix = "spire-model-bin v";
   std::string head(kPrefix.size(), '\0');
   in.read(head.data(), static_cast<std::streamsize>(head.size()));
   return static_cast<std::size_t>(in.gcount()) == kPrefix.size() &&
          head == kPrefix;
-}
-
-int binary_model_file_version(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
-  std::string head(kModelBinMagic.size(), '\0');
-  in.read(head.data(), static_cast<std::streamsize>(head.size()));
-  if (static_cast<std::size_t>(in.gcount()) != head.size()) return 0;
-  if (head == kModelBinMagic) return kModelBinFormatVersion;
-  if (head == kModelBinMagicV3) return kModelBinV3FormatVersion;
-  return 0;
 }
 
 Ensemble load_model_any_file(const std::string& path) {

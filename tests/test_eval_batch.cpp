@@ -6,9 +6,10 @@
 // bit-identical to a scalar loop with per-item error capture, over fuzzed
 // tables that include duplicate and zero-width segments, infinite
 // ceilings, single-piece metrics, missing left regions, and sample
-// streams full of NaN/inf/negative garbage. The suite runs unchanged at
-// SPIRE_SIMD ON and OFF (CI builds both), which is what proves the
-// vectorized execute loop and the scalar fallback cannot drift.
+// streams full of NaN/inf/negative garbage. Every property runs over
+// planless tables (portable select) and planned tables (the AVX2 select
+// on an x86-64 build and CPU) in one build, which is what proves the
+// vectorized execute loop and the portable chain cannot drift.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -423,6 +424,18 @@ TEST(EvalBatchThreads, ThreadLocalScratchIsRaceFreeAcrossPoolWorkers) {
         serve::estimate_tables(set.tables(), views[i], Merge::kTimeWeighted),
         parallel[i]);
   }
+}
+
+TEST(EvalBatchBuild, DefaultBuildTakesTheAvx2SelectOnAvx2Cpus) {
+  // The planned-table properties above only cover the AVX2 select when it
+  // is compiled in and dispatched; this keeps that coverage from silently
+  // vanishing from the default build.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "CPU lacks AVX2";
+  EXPECT_TRUE(serve::eval_kernel_vectorized());
+#else
+  GTEST_SKIP() << "not an x86-64 GNU-compatible build";
+#endif
 }
 
 }  // namespace

@@ -140,7 +140,7 @@ TEST(ModelIo, FileRoundTrip) {
 }
 
 // --------------------------------------------------------------------------
-// Binary format v2
+// Binary format v3
 // --------------------------------------------------------------------------
 
 TEST(ModelIoBin, RoundTripPreservesRooflinesExactly) {
@@ -177,7 +177,7 @@ TEST(ModelIoBin, MagicLeadsTheFile) {
   const Ensemble original = make_ensemble(3);
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
   save_model_bin(original, buf);
-  EXPECT_EQ(buf.str().substr(0, kModelBinMagic.size()), kModelBinMagic);
+  EXPECT_EQ(buf.str().substr(0, kModelBinMagicV3.size()), kModelBinMagicV3);
 }
 
 TEST(ModelIoBin, BadMagicThrows) {
@@ -193,7 +193,6 @@ TEST(ModelIoBin, FutureVersionNamesAllSupportedVersions) {
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("v4"), std::string::npos) << what;
-    EXPECT_NE(what.find("v2"), std::string::npos) << what;
     EXPECT_NE(what.find("v3"), std::string::npos) << what;
   }
 }
@@ -203,15 +202,19 @@ TEST(ModelIoBin, TruncationAtEveryByteThrowsCleanly) {
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
   save_model_bin(original, buf);
   const std::string bytes = buf.str();
-  // Every prefix must be rejected with the "model-bin:" prefix — never a
-  // crash, hang, or silent partial model.
+  // Every prefix must be rejected with the loader's own diagnostic —
+  // "model-bin:" inside the metric sections, "model-v3:" inside the flat
+  // region — never a crash, hang, or silent partial model.
   for (std::size_t len = 0; len < bytes.size(); len += 7) {
     std::istringstream in(bytes.substr(0, len));
     try {
       load_model_bin(in);
       FAIL() << "prefix of " << len << " bytes must not load";
     } catch (const std::runtime_error& e) {
-      EXPECT_EQ(std::string(e.what()).rfind("model-bin:", 0), 0u) << e.what();
+      const std::string what = e.what();
+      EXPECT_TRUE(what.rfind("model-bin:", 0) == 0 ||
+                  what.rfind("model-v3:", 0) == 0)
+          << what;
     }
   }
 }
@@ -219,7 +222,7 @@ TEST(ModelIoBin, TruncationAtEveryByteThrowsCleanly) {
 TEST(ModelIoBin, OversizedSectionCountIsRejectedBeforeAllocation) {
   // Magic + a metric count of 2^32-1: must throw on the bound, not try to
   // read four billion sections.
-  std::string bytes(kModelBinMagic);
+  std::string bytes(kModelBinMagicV3);
   bytes += std::string("\xff\xff\xff\xff", 4);
   std::istringstream in(bytes);
   try {
@@ -238,7 +241,7 @@ TEST(ModelIoBin, SectionByteCountMustMatchTables) {
   std::string bytes = buf.str();
   // Grow the first section's declared byte count by one: the cross-check
   // against the declared table sizes must reject it.
-  const std::size_t size_at = kModelBinMagic.size() + 4;
+  const std::size_t size_at = kModelBinMagicV3.size() + 4;
   bytes[size_at] = static_cast<char>(bytes[size_at] + 1);
   std::istringstream in(bytes);
   EXPECT_THROW(load_model_bin(in), std::runtime_error);
@@ -263,7 +266,7 @@ TEST(ModelIoBin, TrailingGarbageIsRejected) {
 TEST(ModelIoBin, FileWrappersAndSniffing) {
   const Ensemble original = make_ensemble(31);
   const std::string bin_path = ::testing::TempDir() + "/spire_model.bin";
-  const std::string text_path = ::testing::TempDir() + "/spire_model_v2.txt";
+  const std::string text_path = ::testing::TempDir() + "/spire_model.txt";
   save_model_bin_file(original, bin_path);
   save_model_file(original, text_path);
 

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -30,7 +31,6 @@
 #include "quality/fault_injector.h"
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
-#include "serve/model_v3.h"
 #include "serve/registry.h"
 #include "serve/service.h"
 #include "spire/ensemble.h"
@@ -122,27 +122,39 @@ void write_file(const std::string& path, const std::string& bytes) {
 // Format: stream round-trip, sniffing, superset property
 // --------------------------------------------------------------------------
 
-TEST(ModelV3, StreamLoaderRoundTripsAndV2PrefixIsByteIdentical) {
+TEST(ModelV3, StreamLoaderRoundTripsDeterministically) {
   const Ensemble ensemble = trained_ensemble(17);
-  const std::string v3 = model_v3_bytes(ensemble);
+  const std::string v3 = model::model_bin_bytes(ensemble);
 
   // Stream deserialize (no mmap) reconstructs the exact rooflines.
   std::istringstream in(v3, std::ios::binary);
   const Ensemble reloaded = model::load_model_bin(in);
   EXPECT_EQ(ensemble.rooflines(), reloaded.rooflines());
 
-  // v3 is a strict superset of v2: magic aside, the v2 body bytes are
-  // byte-identical to a v2 serialization of the same ensemble.
-  std::ostringstream v2s(std::ios::binary);
-  model::save_model_bin(ensemble, v2s);
-  const std::string v2 = v2s.str();
-  ASSERT_EQ(model::kModelBinMagic.size(), model::kModelBinMagicV3.size());
-  const std::string v2_body = v2.substr(model::kModelBinMagic.size());
-  EXPECT_EQ(v2_body, v3.substr(model::kModelBinMagicV3.size(), v2_body.size()));
+  // The metric-section parser stops where the flat region begins: the flat
+  // header sits at the next 8-byte boundary after its end offset.
+  std::istringstream sections_in(v3, std::ios::binary);
+  const model::ModelBinSections sections =
+      model::read_model_bin_sections(sections_in);
+  EXPECT_EQ(sections.rooflines, ensemble.rooflines());
+  const auto layout = model::v3::check_flat_region(
+      std::as_bytes(std::span(v3.data(), v3.size())), 0, util::crc32_init());
+  EXPECT_EQ((sections.end_offset + 7) / 8 * 8, layout.flat_offset);
+  EXPECT_EQ(sections.piece_count, layout.piece_count);
 
   // Determinism: serializing again yields the same bytes (the registry's
   // content addressing rests on this).
-  EXPECT_EQ(v3, model_v3_bytes(reloaded));
+  EXPECT_EQ(v3, model::model_bin_bytes(reloaded));
+}
+
+/// A retired binary v2 file of `ensemble`: the v2 magic line over the
+/// metric sections, with no flat region.
+std::string retired_v2_bytes(const Ensemble& ensemble) {
+  const std::string v3 = model::model_bin_bytes(ensemble);
+  std::istringstream in(v3, std::ios::binary);
+  const std::size_t end = model::read_model_bin_sections(in).end_offset;
+  const std::size_t magic = model::kModelBinMagicV3.size();
+  return "spire-model-bin v2\n" + v3.substr(magic, end - magic);
 }
 
 TEST(ModelV3, FileVersionSniffingRoutesAllThreeFormats) {
@@ -151,20 +163,22 @@ TEST(ModelV3, FileVersionSniffingRoutesAllThreeFormats) {
   const std::string v2 = temp_path("sniff_v2.bin");
   const std::string v3 = temp_path("sniff_v3.bin");
   model::save_model_file(ensemble, v1);
-  model::save_model_bin_file(ensemble, v2);
-  save_model_v3_file(ensemble, v3);
+  write_file(v2, retired_v2_bytes(ensemble));
+  model::save_model_bin_file(ensemble, v3);
 
-  EXPECT_EQ(model::binary_model_file_version(v1), 0);
-  EXPECT_EQ(model::binary_model_file_version(v2), 2);
-  EXPECT_EQ(model::binary_model_file_version(v3), 3);
-  EXPECT_EQ(model::binary_model_file_version(temp_path("sniff_none")), 0);
+  EXPECT_FALSE(model::is_binary_model_file(v1));
+  EXPECT_TRUE(model::is_binary_model_file(v2));
   EXPECT_TRUE(model::is_binary_model_file(v3));
+  EXPECT_FALSE(model::is_binary_model_file(temp_path("sniff_none")));
 
-  for (const std::string& path : {v1, v2, v3}) {
+  // Text v1 and binary v3 load; a v2 file is routed to the binary loader,
+  // which rejects it.
+  for (const std::string& path : {v1, v3}) {
     EXPECT_EQ(ensemble.rooflines(),
               model::load_model_any_file(path).rooflines())
         << path;
   }
+  EXPECT_THROW(model::load_model_any_file(v2), std::runtime_error);
 }
 
 // --------------------------------------------------------------------------
@@ -175,7 +189,7 @@ TEST(MappedModel, EstimatesBitIdenticalToEnsembleAndCompiled) {
   const Ensemble ensemble = trained_ensemble(17);
   const CompiledModel compiled = CompiledModel::compile(ensemble);
   const std::string path = temp_path("mapped_identity.v3.bin");
-  save_model_v3_file(ensemble, path);
+  model::save_model_bin_file(ensemble, path);
   const CompiledModel mapped = CompiledModel::map_file(path);
 
   EXPECT_EQ(mapped.metric_count(), compiled.metric_count());
@@ -198,7 +212,7 @@ TEST(MappedModel, EstimatesBitIdenticalToEnsembleAndCompiled) {
 TEST(MappedModel, BatchIsBitIdenticalAtOneFourEightThreads) {
   const Ensemble ensemble = trained_ensemble(29);
   const std::string path = temp_path("mapped_batch.v3.bin");
-  save_model_v3_file(ensemble, path);
+  model::save_model_bin_file(ensemble, path);
   const CompiledModel mapped = CompiledModel::map_file(path);
 
   std::vector<Dataset> workloads;
@@ -223,7 +237,7 @@ TEST(MappedModel, BatchIsBitIdenticalAtOneFourEightThreads) {
 TEST(MappedModel, ThrowsTheEnsembleErrorOnNoSharedMetric) {
   const Ensemble ensemble = trained_ensemble(17);
   const std::string path = temp_path("mapped_throw.v3.bin");
-  save_model_v3_file(ensemble, path);
+  model::save_model_bin_file(ensemble, path);
   const CompiledModel mapped = CompiledModel::map_file(path);
 
   Dataset workload;
@@ -250,7 +264,7 @@ TEST(MappedModel, ThrowsTheEnsembleErrorOnNoSharedMetric) {
 TEST(MappedModel, TableSpansPointIntoTheMappingNotCopies) {
   const Ensemble ensemble = trained_ensemble(17);
   const std::string path = temp_path("mapped_spans.v3.bin");
-  save_model_v3_file(ensemble, path);
+  model::save_model_bin_file(ensemble, path);
   const CompiledModel mapped = CompiledModel::map_file(path);
 
   // Every table span must sit inside one contiguous buffer — the mapping —
@@ -299,7 +313,7 @@ class FuzzModelV3 : public ::testing::TestWithParam<int> {};
 TEST_P(FuzzModelV3, EveryMutationIsRejectedWithADiagnostic) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 86'243 + 3);
   const Ensemble ensemble = trained_ensemble(11);
-  const std::string clean = model_v3_bytes(ensemble);
+  const std::string clean = model::model_bin_bytes(ensemble);
   const std::string path = temp_path("fuzz_v3.bin");
 
   // The unmutated artifact maps and stream-loads.
@@ -317,10 +331,10 @@ TEST_P(FuzzModelV3, EveryMutationIsRejectedWithADiagnostic) {
     if (mutated == clean) continue;
     write_file(path, mutated);
     // Full verification: the whole-file CRC covers every byte before the
-    // footer and the footer is fully cross-checked, so — unlike v2, where
-    // payload bit flips can survive — EVERY mutation must be rejected,
-    // with the hardened validator's own diagnostic. Never a crash or
-    // SIGBUS.
+    // footer and the footer is fully cross-checked, so — unlike the
+    // metric sections alone, where payload bit flips can survive — EVERY
+    // mutation must be rejected, with the hardened validator's own
+    // diagnostic. Never a crash or SIGBUS.
     try {
       CompiledModel::map_file(path, model::v3::Verify::kFull);
       FAIL() << "mutation must be rejected (round " << round << ")";
@@ -347,7 +361,7 @@ TEST_P(FuzzModelV3, EveryMutationIsRejectedWithADiagnostic) {
           << what;
     }
     // The stream loader rejects the same bytes (possibly at an earlier
-    // layer: v2-body parsing or the magic check).
+    // layer: metric-section parsing or the magic check).
     std::istringstream in(mutated, std::ios::binary);
     try {
       model::load_model_bin(in);
@@ -365,7 +379,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzModelV3, ::testing::Range(1, 9));
 
 TEST(ModelV3Hardening, TargetedCorruptionsNameTheSectionAndOffset) {
   const Ensemble ensemble = trained_ensemble(11);
-  const std::string clean = model_v3_bytes(ensemble);
+  const std::string clean = model::model_bin_bytes(ensemble);
   const std::string path = temp_path("corrupt_v3.bin");
 
   const auto expect_rejected_at = [&](const std::string& bytes,
@@ -440,7 +454,7 @@ TEST(ModelV3Hardening, TargetedCorruptionsNameTheSectionAndOffset) {
     bytes[layout.flat_offset] ^= 0x10;
     expect_rejected(bytes, "flat magic");
   }
-  // Wrong v2 magic byte: not even routed to the v3 path.
+  // Wrong magic byte: not even routed to the v3 path.
   {
     std::string bytes = clean;
     bytes[2] ^= 0x20;
@@ -450,10 +464,10 @@ TEST(ModelV3Hardening, TargetedCorruptionsNameTheSectionAndOffset) {
 
 TEST(ModelV3Hardening, StreamLoaderCrossChecksFlatCountsAndCrc) {
   const Ensemble ensemble = trained_ensemble(11);
-  const std::string clean = model_v3_bytes(ensemble);
+  const std::string clean = model::model_bin_bytes(ensemble);
 
-  // Flip one byte of a double payload in the flat region: the v2 body
-  // still parses, the flat validation must catch it.
+  // Flip one byte of a double payload in the flat region: the metric
+  // sections still parse, the flat validation must catch it.
   const auto layout = model::v3::check_flat_region(
       std::as_bytes(std::span(clean.data(), clean.size())), 0,
       util::crc32_init());
@@ -471,7 +485,7 @@ TEST(ModelV3Hardening, StreamLoaderCrossChecksFlatCountsAndCrc) {
 
 TEST(ModelV3Hardening, VerificationTiersSplitCrcWorkFromBoundsSafety) {
   const Ensemble ensemble = trained_ensemble(11);
-  const std::string clean = model_v3_bytes(ensemble);
+  const std::string clean = model::model_bin_bytes(ensemble);
   const std::string path = temp_path("tiers_v3.bin");
   const auto layout = model::v3::check_flat_region(
       std::as_bytes(std::span(clean.data(), clean.size())), 0,
@@ -526,17 +540,14 @@ TEST(ModelRegistry, PublishConvergesAcrossEverySourceFormat) {
   ModelRegistry registry(fresh_registry_root("reg_converge"));
 
   const std::string v1 = temp_path("reg_src.model");
-  const std::string v2 = temp_path("reg_src.bin");
   const std::string v3 = temp_path("reg_src.v3.bin");
   model::save_model_file(ensemble, v1);
-  model::save_model_bin_file(ensemble, v2);
-  save_model_v3_file(ensemble, v3);
+  model::save_model_bin_file(ensemble, v3);
 
   const std::string id = registry.publish(ensemble);
   EXPECT_EQ(id.size(), 16u);
-  EXPECT_EQ(id, util::fnv1a64_hex(model_v3_bytes(ensemble)));
+  EXPECT_EQ(id, util::fnv1a64_hex(model::model_bin_bytes(ensemble)));
   EXPECT_EQ(id, registry.publish_file(v1));
-  EXPECT_EQ(id, registry.publish_file(v2));
   EXPECT_EQ(id, registry.publish_file(v3));
   {
     std::ifstream raw(v3, std::ios::binary);
@@ -560,6 +571,46 @@ TEST(ModelRegistry, PublishBytesValidatesBeforeStoring) {
   std::string forged(std::string(model::kModelBinMagicV3) +
                      std::string(512, '\0'));
   EXPECT_THROW(registry.publish_bytes(forged), std::runtime_error);
+  EXPECT_TRUE(registry.list().empty());
+}
+
+TEST(ModelBinV2, EveryEntryPointGivesTheOneRetirementError) {
+  const Ensemble ensemble = trained_ensemble(17);
+  const std::string path = temp_path("retired_v2.bin");
+  write_file(path, retired_v2_bytes(ensemble));
+  ModelRegistry registry(fresh_registry_root("reg_retired_v2"));
+
+  const auto error_of = [](const std::function<void()>& load) {
+    try {
+      load();
+    } catch (const std::exception& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no error)");
+  };
+  const std::vector<std::pair<std::string, std::string>> errors = {
+      {"load_model_any_file",
+       error_of([&] { (void)model::load_model_any_file(path); })},
+      {"ModelRegistry::publish_file",
+       error_of([&] { (void)registry.publish_file(path); })},
+      {"lint binary-load", [&] {
+         const auto report = lint::lint_model_file(path);
+         EXPECT_EQ(report.findings.size(), 1u) << report.describe();
+         for (const auto& finding : report.findings) {
+           if (finding.rule_id == "binary-load" &&
+               finding.severity == lint::LintSeverity::kError) {
+             return finding.message;
+           }
+         }
+         return std::string("(no binary-load error)");
+       }()},
+  };
+  for (const auto& [entry, message] : errors) {
+    EXPECT_EQ(message.rfind("model-bin: spire-model-bin v2 is retired", 0), 0u)
+        << entry << ": " << message;
+    EXPECT_NE(message.find("text v1"), std::string::npos) << entry;
+    EXPECT_EQ(message, errors.front().second) << entry;
+  }
   EXPECT_TRUE(registry.list().empty());
 }
 
@@ -826,7 +877,7 @@ TEST(ModelRegistry, HotSwapReaderNeverSeesATornMappingUnderConcurrentGc) {
 
 TEST(OneImage, CompiledBytesAreTheWriterBytesAndThePublishedObject) {
   const Ensemble ensemble = trained_ensemble(17);
-  const std::string bytes = model_v3_bytes(ensemble);
+  const std::string bytes = model::model_bin_bytes(ensemble);
   EXPECT_EQ(CompiledModel::compile(ensemble).bytes(), bytes);
 
   ModelRegistry registry(fresh_registry_root("reg_one_image"));
@@ -862,7 +913,7 @@ TEST(OneImage, BatchOwnedAndMappedAreBitIdenticalOnEveryPath) {
   const Ensemble ensemble = trained_ensemble(29);
   const CompiledModel owned = CompiledModel::compile(ensemble);
   const std::string path = temp_path("one_image_batch.v3.bin");
-  save_model_v3_file(ensemble, path);
+  model::save_model_bin_file(ensemble, path);
   const CompiledModel mapped = CompiledModel::map_file(path);
   ASSERT_EQ(owned.bytes(), mapped.bytes());
 
@@ -986,7 +1037,7 @@ TEST(EngineServe, CompileV3PublishAndResolveStages) {
   ASSERT_EQ(id.size(), 16u);
   EXPECT_NO_THROW(CompiledModel::map_file(v3_path));
   // One image: the file compile_v3 wrote is the object publish stored.
-  EXPECT_EQ(id, util::fnv1a64_hex(model_v3_bytes(ensemble)));
+  EXPECT_EQ(id, util::fnv1a64_hex(model::model_bin_bytes(ensemble)));
   EXPECT_EQ(CompiledModel::map_file(v3_path).bytes(),
             producer.context().model->bytes());
 
@@ -1008,7 +1059,7 @@ TEST(EngineServe, CompileV3PublishAndResolveStages) {
 TEST(LintV3, CleanV3ArtifactLintsClean) {
   const Ensemble ensemble = trained_ensemble(17);
   const std::string path = temp_path("lint_v3.bin");
-  save_model_v3_file(ensemble, path);
+  model::save_model_bin_file(ensemble, path);
   const auto report = lint::lint_model_file(path);
   EXPECT_TRUE(report.clean()) << report.describe();
   EXPECT_EQ(report.metrics_scanned, ensemble.metric_count());
@@ -1016,7 +1067,7 @@ TEST(LintV3, CleanV3ArtifactLintsClean) {
 
 TEST(LintV3, FlatCorruptionGetsTypedFinding) {
   const Ensemble ensemble = trained_ensemble(17);
-  std::string bytes = model_v3_bytes(ensemble);
+  std::string bytes = model::model_bin_bytes(ensemble);
   const auto layout = model::v3::check_flat_region(
       std::as_bytes(std::span(bytes.data(), bytes.size())), 0,
       util::crc32_init());

@@ -19,7 +19,6 @@
 #include "pipeline/engine.h"
 #include "sampling/dataset.h"
 #include "sampling/dataset_view.h"
-#include "serve/model_v3.h"
 #include "serve/service.h"
 #include "spire/ensemble.h"
 #include "spire/model_io.h"
@@ -190,7 +189,7 @@ TEST(CompiledModel, CheckedInModelsRoundTripAndServeIdentically) {
     if (entry.path().extension() != ".model") continue;
     ++models;
     const Ensemble original = model::load_model_file(entry.path().string());
-    // v1 -> v2 -> ensemble must be lossless...
+    // v1 -> v3 -> ensemble must be lossless...
     std::stringstream bin(std::ios::in | std::ios::out | std::ios::binary);
     model::save_model_bin(original, bin);
     const Ensemble reloaded = model::load_model_bin(bin);
@@ -221,8 +220,8 @@ TEST(CompiledModel, EveryLoadedFormatCompilesToOneImage) {
       CompiledModel::compile(model::load_model_any_file(text_path));
   const CompiledModel from_bin =
       CompiledModel::compile(model::load_model_any_file(bin_path));
-  EXPECT_EQ(from_text.bytes(), model_v3_bytes(ensemble));
-  EXPECT_EQ(from_bin.bytes(), model_v3_bytes(ensemble));
+  EXPECT_EQ(from_text.bytes(), model::model_bin_bytes(ensemble));
+  EXPECT_EQ(from_bin.bytes(), model::model_bin_bytes(ensemble));
   const Dataset workload = mixed_workload(3);
   const DatasetView view(workload);
   const Estimate reference = ensemble.estimate(view);
@@ -283,7 +282,7 @@ TEST(EstimationService, OwnedAndMappedModelsServeFilesIdentically) {
   EXPECT_EQ(owned.metric_count(), ensemble.metric_count());
 
   const std::string v3_path = ::testing::TempDir() + "/serve_service.v3.bin";
-  save_model_v3_file(ensemble, v3_path);
+  model::save_model_bin_file(ensemble, v3_path);
   const EstimationService mapped(std::make_shared<const CompiledModel>(
       CompiledModel::map_file(v3_path)));
   EXPECT_EQ(mapped.metric_count(), ensemble.metric_count());

@@ -34,11 +34,12 @@ phase_end() {
   fi
 }
 
-phase "Release build + tests (SPIRE_SIMD=ON)"
-# The release leg runs with the vectorized batch kernel; the sanitized
-# Debug leg below builds without SPIRE_SIMD, so both kernel paths (and
-# the Debug per-lane scalar cross-check) are exercised every gate run.
-cmake -B build-check-release -S . -DCMAKE_BUILD_TYPE=Release -DSPIRE_SIMD=ON
+phase "Release build + tests"
+# One build: the AVX2 select is compiled in on x86-64 and dispatched at
+# runtime, and test_eval_batch runs it and the portable select against the
+# scalar reference; the sanitized Debug leg below adds the per-lane scalar
+# cross-check.
+cmake -B build-check-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-check-release -j "${jobs}"
 ctest --test-dir build-check-release --output-on-failure -j "${test_jobs}"
 
@@ -66,11 +67,10 @@ else
        "static gate (CI runs it)"
 fi
 
-phase "Binary model v2/v3 round-trip (spire_cli compile)"
-# Compile every checked-in text model to the v2 and v3 binary formats and
-# back; the text bytes must survive unchanged either way. Artifacts live in
-# a throwaway directory — testdata/models/ is linted as-is and must stay
-# clean.
+phase "Binary model round-trip (spire_cli compile: text -> binary -> text)"
+# Compile every checked-in text model to the binary format and back; the
+# text bytes must survive unchanged. Artifacts live in a throwaway
+# directory — testdata/models/ is linted as-is and must stay clean.
 roundtrip_dir=$(mktemp -d)
 trap 'rm -rf "${roundtrip_dir}"' EXIT
 cli=build-check-release/tools/spire_cli
@@ -80,13 +80,9 @@ for model in testdata/models/*.model; do
   "${cli}" compile --text "${roundtrip_dir}/${base}.bin" \
     --out "${roundtrip_dir}/${base}.model"
   diff "${model}" "${roundtrip_dir}/${base}.model"
-  "${cli}" compile --v3 "${model}" --out "${roundtrip_dir}/${base}.v3.bin"
-  "${cli}" compile --text "${roundtrip_dir}/${base}.v3.bin" \
-    --out "${roundtrip_dir}/${base}.v3.model"
-  diff "${model}" "${roundtrip_dir}/${base}.v3.model"
-  # v3 artifacts must also pass the static lint gate (flat-structure,
+  # Binary artifacts must also pass the static lint gate (flat-structure,
   # flat-mismatch) on top of the geometric rules.
-  "${cli}" lint "${roundtrip_dir}/${base}.v3.bin"
+  "${cli}" lint "${roundtrip_dir}/${base}.bin"
 done
 
 phase "Registry smoke (publish / resolve / serve by content id)"
@@ -97,7 +93,7 @@ registry_root="${roundtrip_dir}/registry"
 model=testdata/models/trained_parboil.model
 id=$("${cli}" registry publish "${model}" --registry-root "${registry_root}")
 "${cli}" registry list --registry-root "${registry_root}" | grep -q "${id}"
-# Publishing the v2 form must converge on the same content id.
+# Publishing the compiled binary file must converge on the same content id.
 "${cli}" compile "${model}" --out "${roundtrip_dir}/registry_smoke.bin"
 id2=$("${cli}" registry publish "${roundtrip_dir}/registry_smoke.bin" \
   --registry-root "${registry_root}")

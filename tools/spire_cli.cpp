@@ -19,10 +19,10 @@
 //       (region shapes, peak continuity, format version, ...) without
 //       running estimation; with --against, also verify the upper-bound
 //       property over a sample CSV. Exits nonzero on error findings.
-//   spire_cli compile MODEL --out MODEL.bin [--text|--v3]
-//       Convert a model to the binary v2 deployment artifact, the binary
-//       v3 zero-copy serving artifact (--v3), or back to text v1 (--text).
-//       Conversion is lossless in every direction.
+//   spire_cli compile MODEL --out MODEL.bin [--text]
+//       Convert a model to the binary v3 artifact (stream-loadable and
+//       mappable for zero-copy serving), or back to text v1 (--text).
+//       Conversion is lossless in both directions.
 //   spire_cli profile compile FILE --out FILE
 //       Convert a workload profile between the sample-CSV format and the
 //       spire-profile-bin v1 binary columnar format (direction is sniffed
@@ -95,7 +95,7 @@
 // forces serial). Results are bit-identical at any thread count.
 //
 // Model-consuming subcommands (analyze, estimate, show, lint) accept every
-// model format — the line-oriented text v1 and the binary v2/v3 artifacts
+// model format — the line-oriented text v1 and the binary v3 artifact
 // `compile` writes — sniffing the leading bytes.
 //
 // Each subcommand is a thin wrapper over pipeline::Engine: it parses flags
@@ -117,7 +117,6 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "quality/quality.h"
-#include "serve/model_v3.h"
 #include "serve/profile_bin.h"
 #include "serve/registry.h"
 #include "sim/core.h"
@@ -395,17 +394,11 @@ int cmd_compile(const Args& args) {
   if (args.positional.size() != 1) {
     throw UsageError("need exactly one model file");
   }
-  if (args.has("text") && args.has("v3")) {
-    throw UsageError("--text and --v3 are mutually exclusive");
-  }
   const auto ensemble = model::load_model_any_file(args.positional.front());
-  const char* format = "binary v2";
+  const char* format = "binary v3";
   if (args.has("text")) {
     model::save_model_file(ensemble, *out_path);
     format = "text v1";
-  } else if (args.has("v3")) {
-    serve::save_model_v3_file(ensemble, *out_path);
-    format = "binary v3";
   } else {
     model::save_model_bin_file(ensemble, *out_path);
   }
@@ -921,7 +914,7 @@ const std::vector<Command>& commands() {
       {"analyze", {}, cmd_analyze},
       {"validate", {}, cmd_validate},
       {"lint", {"rules"}, cmd_lint},
-      {"compile", {"text", "v3"}, cmd_compile},
+      {"compile", {"text"}, cmd_compile},
       {"profile", {}, cmd_profile},
       {"registry", {}, cmd_registry},
       {"estimate", {"binary", "pipeline"}, cmd_estimate},
@@ -946,7 +939,7 @@ int usage() {
                "  validate FILE...                          report data-quality defects\n"
                "  lint    MODEL... [--against CSV]...       check model invariants\n"
                "  lint    --rules                           list the lint rules\n"
-               "  compile MODEL --out F [--text|--v3]       convert between model formats\n"
+               "  compile MODEL --out F [--text]            convert between model formats\n"
                "  profile compile FILE --out F              workload CSV <-> profile-bin\n"
                "  registry publish MODEL | list | pin ID | unpin ID | gc\n"
                "          [--registry-root DIR]             content-addressed model store\n"
@@ -974,7 +967,7 @@ int usage() {
                "train/analyze/validate/estimate accept --threads N (default: "
                "all\nhardware threads; 0 forces serial). Results are identical "
                "at any\nthread count. Model-consuming commands accept text v1 "
-               "and binary v2/v3.\n");
+               "and binary v3.\n");
   return 2;
 }
 
