@@ -9,6 +9,7 @@
 // Parboil core (locks, divider, port under-utilization).
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,10 +20,13 @@
 
 using namespace spire;
 
-int main() {
+// `--fresh` ignores spire_bench_cache/ and re-collects the suite and
+// re-trains the model (the ctest gate runs it so).
+int main(int argc, char** argv) {
+  const bool fresh = argc > 1 && std::strcmp(argv[1], "--fresh") == 0;
   std::printf("=== Table II reproduction: top 10 SPIRE metrics per test workload ===\n\n");
-  const auto suite = bench::collect_suite();
-  const auto ensemble = bench::trained_ensemble(suite);
+  const auto suite = bench::collect_suite(!fresh);
+  const auto ensemble = bench::trained_ensemble(suite, !fresh);
   model::Analyzer analyzer(ensemble);
 
   std::printf("(ensemble: %zu metric rooflines trained on %zu samples)\n\n",

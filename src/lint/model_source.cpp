@@ -62,6 +62,8 @@ std::optional<std::uint64_t> parse_count(const std::string& token) {
 }
 
 struct LineReader {
+  explicit LineReader(std::istream& stream) : in(stream) {}
+
   std::istream& in;
   std::size_t line_no = 0;
   std::string line;
@@ -80,7 +82,7 @@ struct LineReader {
 
 RawModel parse_raw_model(std::istream& in) {
   RawModel model;
-  LineReader reader{in};
+  LineReader reader(in);
   const auto issue = [&model](std::size_t line, std::string message) {
     model.issues.push_back({line, std::move(message)});
   };

@@ -1,5 +1,6 @@
 #include "sim/cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -9,29 +10,23 @@ Cache::Cache(const CacheGeometry& geometry)
     : sets_(geometry.sets),
       ways_(geometry.ways),
       line_bytes_(geometry.line_bytes),
-      lines_(static_cast<std::size_t>(geometry.sets) * geometry.ways) {
+      tags_(static_cast<std::size_t>(geometry.sets) * geometry.ways),
+      stamps_(tags_.size(), 0) {
   if (sets_ == 0 || ways_ == 0 || line_bytes_ == 0 ||
       !std::has_single_bit(line_bytes_)) {
     throw std::invalid_argument("cache: bad geometry");
   }
   line_shift_ = std::countr_zero(line_bytes_);
-}
-
-std::size_t Cache::set_of(std::uint64_t addr) const {
-  return static_cast<std::size_t>((addr >> line_shift_) % sets_);
-}
-
-std::uint64_t Cache::tag_of(std::uint64_t addr) const {
-  return (addr >> line_shift_) / sets_;
+  set_shift_ = std::has_single_bit(sets_) ? std::countr_zero(sets_) : -1;
 }
 
 bool Cache::lookup(std::uint64_t addr) {
-  const std::size_t base = set_of(addr) * ways_;
-  const std::uint64_t tag = tag_of(addr);
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    auto& line = lines_[base + w];
-    if (line.valid && line.tag == tag) {
-      line.stamp = ++stamp_;
+  const std::uint64_t line = addr >> line_shift_;
+  const std::size_t base = set_of(line) * ways_;
+  const std::uint64_t tag = tag_of(line);
+  for (std::size_t i = base; i < base + ways_; ++i) {
+    if (tags_[i] == tag && stamps_[i] != 0) {
+      stamps_[i] = ++stamp_;
       ++hits_;
       return true;
     }
@@ -41,25 +36,25 @@ bool Cache::lookup(std::uint64_t addr) {
 }
 
 bool Cache::fill(std::uint64_t addr) {
-  const std::size_t base = set_of(addr) * ways_;
-  const std::uint64_t tag = tag_of(addr);
-  Line* victim = nullptr;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    auto& line = lines_[base + w];
-    if (line.valid && line.tag == tag) {
-      line.stamp = ++stamp_;  // already present
+  const std::uint64_t line = addr >> line_shift_;
+  const std::size_t base = set_of(line) * ways_;
+  const std::uint64_t tag = tag_of(line);
+  // Victim: the first invalid way, else the least recently used one.
+  std::size_t victim = base;
+  for (std::size_t i = base; i < base + ways_; ++i) {
+    if (stamps_[i] == 0) {
+      if (stamps_[victim] != 0) victim = i;
+    } else if (tags_[i] == tag) {
+      stamps_[i] = ++stamp_;  // already present
       return false;
-    }
-    if (victim == nullptr || !line.valid ||
-        (victim->valid && line.stamp < victim->stamp)) {
-      if (victim == nullptr || victim->valid) victim = &line;
+    } else if (stamps_[victim] != 0 && stamps_[i] < stamps_[victim]) {
+      victim = i;
     }
   }
-  const bool evicted = victim->valid;
+  const bool evicted = stamps_[victim] != 0;
   if (evicted) ++replacements_;
-  victim->tag = tag;
-  victim->valid = true;
-  victim->stamp = ++stamp_;
+  tags_[victim] = tag;
+  stamps_[victim] = ++stamp_;
   return evicted;
 }
 
@@ -69,8 +64,6 @@ bool Cache::access(std::uint64_t addr) {
   return false;
 }
 
-void Cache::flush() {
-  for (auto& line : lines_) line.valid = false;
-}
+void Cache::flush() { std::fill(stamps_.begin(), stamps_.end(), 0); }
 
 }  // namespace spire::sim

@@ -37,20 +37,22 @@ class Cache {
   std::uint32_t line_bytes() const { return line_bytes_; }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t stamp = 0;
-    bool valid = false;
-  };
-
-  std::size_t set_of(std::uint64_t addr) const;
-  std::uint64_t tag_of(std::uint64_t addr) const;
+  std::uint64_t set_of(std::uint64_t line) const {
+    return set_shift_ >= 0 ? line & (sets_ - 1) : line % sets_;
+  }
+  std::uint64_t tag_of(std::uint64_t line) const {
+    return set_shift_ >= 0 ? line >> set_shift_ : line / sets_;
+  }
 
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::uint32_t line_bytes_;
   int line_shift_;
-  std::vector<Line> lines_;
+  int set_shift_;  // log2(sets_) when sets_ is a power of two, else -1
+  // Way w of set s is slot s * ways_ + w. A stamp of 0 marks an invalid
+  // way; valid ways carry their last-use time (stamps start at 1).
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint64_t> stamps_;
   std::uint64_t stamp_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

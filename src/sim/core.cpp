@@ -1,6 +1,7 @@
 #include "sim/core.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,9 +16,13 @@ Core::Core(const CoreConfig& config, InstructionStream& stream,
       predictor_(cfg_),
       memory_(cfg_),
       frontend_(cfg_, stream, memory_, predictor_, seed),
+      idq_(static_cast<std::size_t>(cfg_.idq_capacity)),
+      rob_(static_cast<std::size_t>(cfg_.rob_capacity)),
       rs_(static_cast<std::size_t>(cfg_.rs_capacity)),
       calendar_(kHorizon),
-      load_completes_(kHorizon, 0) {
+      load_completes_(kHorizon, 0),
+      store_drain_(static_cast<std::size_t>(cfg_.store_buffer_capacity)) {
+  for (auto& queue : ready_) queue = Ring<SlotRef>(rs_.size());
   rs_free_.reserve(rs_.size());
   for (std::uint32_t i = 0; i < rs_.size(); ++i) {
     rs_free_.push_back(static_cast<std::uint32_t>(rs_.size() - 1 - i));
@@ -108,8 +113,8 @@ int Core::execute_latency(const Uop& u, bool vw_penalty) const {
 }
 
 void Core::schedule_ready(std::uint32_t slot, std::uint64_t at) {
-  // Ready times are bounded by the longest execution latency, far below the
-  // calendar horizon.
+  // `at` may lie kHorizon or more cycles ahead (see kHorizon): the entry
+  // then wakes one span early, which the collected samples depend on.
   calendar_[at % kHorizon].push_back({slot, rs_[slot].uop_seq});
 }
 
@@ -203,7 +208,9 @@ void Core::collect_ready() {
   for (const SlotRef& ref : bucket) {
     if (ref.slot < rs_.size() && rs_[ref.slot].valid &&
         rs_[ref.slot].uop_seq == ref.uop_seq) {
-      ready_[static_cast<std::size_t>(rs_[ref.slot].cls)].push_back(ref);
+      const auto cls = static_cast<std::size_t>(rs_[ref.slot].cls);
+      ready_[cls].push_back(ref);
+      ready_mask_ |= static_cast<std::uint16_t>(1u << cls);
     }
   }
   bucket.clear();
@@ -211,19 +218,16 @@ void Core::collect_ready() {
 
 int Core::dispatch_stage() {
   int dispatched = 0;
-  std::uint8_t ports_busy = 0;
+  unsigned ports_busy = 0;
 
-  // Class priority: memory first (latency critical), then long-latency
-  // units, then the short ALU crowd.
-  static constexpr PClass kOrder[] = {
-      PClass::kLoad, PClass::kSta, PClass::kStd, PClass::kDiv,
-      PClass::kVec512, PClass::kVec256, PClass::kMul, PClass::kFp,
-      PClass::kBranch, PClass::kAlu,
-  };
-
-  for (PClass cls : kOrder) {
-    auto& queue = ready_[static_cast<std::size_t>(cls)];
-    const std::uint8_t mask = kPortMask[static_cast<int>(cls)];
+  // Class priority is the PClass order: memory first (latency critical),
+  // then long-latency units, then the short ALU crowd. Only classes with
+  // queued uops are visited.
+  for (unsigned pending = ready_mask_; pending != 0; pending &= pending - 1) {
+    const int c = std::countr_zero(pending);
+    const auto cls = static_cast<PClass>(c);
+    auto& queue = ready_[static_cast<std::size_t>(c)];
+    const unsigned mask = kPortMask[c];
     while (!queue.empty() && dispatched < cfg_.dispatch_width) {
       const SlotRef ref = queue.front();
       if (ref.slot >= rs_.size() || !rs_[ref.slot].valid ||
@@ -237,19 +241,16 @@ int Core::dispatch_stage() {
         schedule_ready(ref.slot, divider_free_);
         continue;
       }
-      int port = -1;
-      for (int p = 0; p < kNumPorts; ++p) {
-        if ((mask & (1u << p)) != 0 && (ports_busy & (1u << p)) == 0) {
-          port = p;
-          break;
-        }
-      }
-      if (port < 0) break;  // no eligible port left this cycle
+      // Lowest-numbered free eligible port.
+      const unsigned free_ports = mask & ~ports_busy;
+      if (free_ports == 0) break;  // no eligible port left this cycle
+      const int port = std::countr_zero(free_ports);
       queue.pop_front();
-      ports_busy |= static_cast<std::uint8_t>(1u << port);
+      ports_busy |= 1u << port;
       dispatch_uop(ref.slot, port);
       ++dispatched;
     }
+    if (queue.empty()) ready_mask_ &= static_cast<std::uint16_t>(~(1u << c));
     if (dispatched >= cfg_.dispatch_width) break;
   }
   return dispatched;
@@ -340,19 +341,17 @@ int Core::allocate_stage() {
       last_vec_width_ = width;
     }
 
-    RobEntry entry;
+    RobEntry& entry = rob_.emplace_back();
     entry.uop = uop;
     if (uop.cls == OpClass::kNop) {
       entry.dispatched = true;
       entry.complete_at = now_;
-      rob_.push_back(entry);
       if (!uop.phantom && uop.last_of_macro) {
         MacroState& ms = macro_ring_[uop.macro_id % kMacroRing];
         ms.all_allocated = true;
         if (ms.uops_left == 0 && !ms.final_) finalize_macro(ms);
       }
     } else {
-      rob_.push_back(entry);
       if (!uop.phantom) {
         MacroState& ms = macro_ring_[uop.macro_id % kMacroRing];
         ++ms.uops_left;
@@ -549,7 +548,8 @@ void Core::cycle_counters(int dispatched, int retired, int allocated,
   counters_.add(Event::kCpuClkUnhaltedThread, 1);
 
   const bool rob_busy = !rob_.empty();
-  const int pending = memory_.pending_misses(now_);
+  const auto misses = memory_.pending(now_);
+  const int pending = misses.count;
 
   if (inflight_loads_ > 0) counters_.add(Event::kCycleActivityCyclesMemAny, 1);
   if (pending > 0) {
@@ -565,7 +565,7 @@ void Core::cycle_counters(int dispatched, int retired, int allocated,
         counters_.add(Event::kCycleActivityStallsMemAny, 1);
       if (pending > 0) {
         counters_.add(Event::kCycleActivityStallsL1dMiss, 1);
-        const MemLevel deepest = memory_.deepest_pending(now_);
+        const MemLevel deepest = misses.deepest;
         if (deepest == MemLevel::kL3 || deepest == MemLevel::kDram)
           counters_.add(Event::kCycleActivityStallsL2Miss, 1);
         if (deepest == MemLevel::kDram)

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "counters/counter_set.h"
@@ -18,6 +17,7 @@
 #include "sim/config.h"
 #include "sim/frontend.h"
 #include "sim/memory_hierarchy.h"
+#include "sim/ring.h"
 #include "sim/types.h"
 #include "sim/uop.h"
 
@@ -66,7 +66,12 @@ class Core {
   static constexpr int kNumPorts = 8;
 
  private:
-  static constexpr std::uint64_t kHorizon = 4096;    // calendar span (cycles)
+  // Calendar span (cycles). Wake-ups and load completions land in bucket
+  // `at % kHorizon`, so one due kHorizon or more cycles ahead is released
+  // one span early. That does happen: a DRAM load queued behind a full set
+  // of fill buffers can be ~6.3k cycles out. The collected samples depend
+  // on it, so the span and the wrap are part of the model (DESIGN.md §17).
+  static constexpr std::uint64_t kHorizon = 4096;
   static constexpr std::uint64_t kMacroRing = 1024;  // producer lookback
 
   struct RobEntry {
@@ -129,8 +134,8 @@ class Core {
   std::uint64_t now_ = 0;
   std::uint64_t instructions_ = 0;
 
-  std::deque<Uop> idq_;
-  std::deque<RobEntry> rob_;
+  Ring<Uop> idq_;
+  Ring<RobEntry> rob_;
   std::uint64_t rob_base_seq_ = 0;  // uop_seq of rob_.front()
   std::uint64_t next_uop_seq_ = 0;
 
@@ -139,7 +144,8 @@ class Core {
   int rs_occupancy_ = 0;
 
   std::vector<std::vector<SlotRef>> calendar_;  // [cycle % kHorizon]
-  std::array<std::deque<SlotRef>, kNumPClasses> ready_;
+  std::array<Ring<SlotRef>, kNumPClasses> ready_;
+  std::uint16_t ready_mask_ = 0;  // bit c set <=> ready_[c] is non-empty
   std::vector<std::uint16_t> load_completes_;   // [cycle % kHorizon]
 
   std::array<MacroState, kMacroRing> macro_ring_;
@@ -147,7 +153,7 @@ class Core {
 
   int lb_occupancy_ = 0;
   int sb_occupancy_ = 0;
-  std::deque<std::uint64_t> store_drain_;  // addresses awaiting L1 write
+  Ring<std::uint64_t> store_drain_;  // addresses awaiting L1 write
   std::uint64_t drain_ready_at_ = 0;
 
   int inflight_loads_ = 0;

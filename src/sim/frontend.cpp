@@ -1,6 +1,7 @@
 #include "sim/frontend.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace spire::sim {
 
@@ -24,6 +25,7 @@ Frontend::Frontend(const CoreConfig& config, InstructionStream& stream,
       stream_(stream),
       memory_(memory),
       predictor_(predictor),
+      window_shift_(std::countr_zero(config.dsb_window_bytes)),
       phantom_hash_(phantom_seed | 1),
       dsb_(dsb_geometry(config)),
       itlb_(config.itlb) {}
@@ -69,7 +71,7 @@ void Frontend::expand_macro(const MacroOp& op, bool phantom,
                    : is_load ? 1
                              : std::max<int>(op.uop_count, 1);
   for (int i = 0; i < uops; ++i) {
-    Uop u;
+    Uop& u = pending_.emplace_back();
     u.macro_id = macro_id;
     u.pc = op.pc;
     u.addr = op.addr;
@@ -106,7 +108,6 @@ void Frontend::expand_macro(const MacroOp& op, bool phantom,
         u.mispredicted = mispredicted;
       }
     }
-    pending_.push_back(u);
   }
 }
 
@@ -127,7 +128,8 @@ bool Frontend::refill(std::uint64_t now, CounterSet& counters) {
   }
 
   const MacroOp& op = staged_;
-  const std::uint64_t window = op.pc / cfg_.dsb_window_bytes;
+  // dsb_ rejects a window size that is not a power of two.
+  const std::uint64_t window = op.pc >> window_shift_;
   const bool new_window = window != last_window_;
   const bool microcoded = op.cls == OpClass::kMicrocoded ||
                           op.uop_count > 4;
@@ -238,8 +240,8 @@ bool Frontend::refill(std::uint64_t now, CounterSet& counters) {
   return true;
 }
 
-int Frontend::cycle(std::uint64_t now, std::deque<Uop>& idq,
-                    CounterSet& counters) {
+template <class Queue>
+int Frontend::cycle(std::uint64_t now, Queue& idq, CounterSet& counters) {
   if (now < fetch_stall_until_) {
     if (!in_bubble_) {
       in_bubble_ = true;
@@ -322,5 +324,8 @@ int Frontend::cycle(std::uint64_t now, std::deque<Uop>& idq,
   }
   return delivered;
 }
+
+template int Frontend::cycle(std::uint64_t, Ring<Uop>&, CounterSet&);
+template int Frontend::cycle(std::uint64_t, std::deque<Uop>&, CounterSet&);
 
 }  // namespace spire::sim

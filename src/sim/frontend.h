@@ -19,6 +19,7 @@
 #include "sim/cache.h"
 #include "sim/config.h"
 #include "sim/memory_hierarchy.h"
+#include "sim/ring.h"
 #include "sim/types.h"
 #include "sim/uop.h"
 
@@ -32,9 +33,10 @@ class Frontend {
 
   /// Advances one cycle: delivers up to the active path's width of uops into
   /// `idq` (bounded by idq_capacity) and updates front-end counters.
-  /// Returns the number of uops delivered.
-  int cycle(std::uint64_t now, std::deque<Uop>& idq,
-            counters::CounterSet& counters);
+  /// Returns the number of uops delivered. `Queue` is the core's Ring<Uop>
+  /// or a std::deque<Uop> (both are instantiated in frontend.cpp).
+  template <class Queue>
+  int cycle(std::uint64_t now, Queue& idq, counters::CounterSet& counters);
 
   /// True when the true stream is exhausted and no decoded uops remain.
   bool stream_done() const { return stream_done_ && pending_.empty(); }
@@ -64,7 +66,8 @@ class Frontend {
   MemoryHierarchy& memory_;
   BranchPredictor& predictor_;
 
-  std::deque<Uop> pending_;       // decoded, not yet delivered to the IDQ
+  int window_shift_;  // log2(dsb_window_bytes); the DSB's line size
+  Ring<Uop> pending_;             // decoded, not yet delivered to the IDQ
   Path path_ = Path::kMite;       // path of the uops in pending_
   Path last_path_ = Path::kMite;  // previous decode group's path
   Path resume_path_ = Path::kMite;  // path to return to after an MS episode

@@ -138,6 +138,7 @@ MemAccess MemoryHierarchy::load(std::uint64_t addr, std::uint64_t now) {
   }
 
   mshrs_.push_back({line, now + static_cast<std::uint64_t>(latency), level});
+  pending_until_ = 0;
   l1d_.fill(addr);
   out.latency = latency;
   out.level = level;
@@ -176,22 +177,20 @@ MemAccess MemoryHierarchy::ifetch(std::uint64_t addr, std::uint64_t now) {
   return out;
 }
 
-int MemoryHierarchy::pending_misses(std::uint64_t now) const {
-  int n = 0;
-  for (const auto& m : mshrs_) {
-    if (m.done > now) ++n;
-  }
-  return n;
-}
-
-MemLevel MemoryHierarchy::deepest_pending(std::uint64_t now) const {
-  MemLevel deepest = MemLevel::kL1;
-  for (const auto& m : mshrs_) {
-    if (m.done > now && static_cast<int>(m.level) > static_cast<int>(deepest)) {
-      deepest = m.level;
+MemoryHierarchy::PendingMisses MemoryHierarchy::pending(
+    std::uint64_t now) const {
+  if (now < pending_from_ || now >= pending_until_) {
+    pending_ = {};
+    pending_from_ = now;
+    pending_until_ = ~std::uint64_t{0};
+    for (const auto& m : mshrs_) {
+      if (m.done <= now) continue;
+      ++pending_.count;
+      pending_.deepest = std::max(pending_.deepest, m.level);
+      pending_until_ = std::min(pending_until_, m.done);
     }
   }
-  return deepest;
+  return pending_;
 }
 
 void MemoryHierarchy::pollute(int lines) {
@@ -215,6 +214,7 @@ void MemoryHierarchy::flush() {
   l3_.flush();
   dtlb_.flush();
   mshrs_.clear();
+  pending_until_ = 0;
   prefetches_.clear();
   dram_next_free_ = 0;
   pf_last_addr_ = 0;

@@ -40,11 +40,21 @@ class MemoryHierarchy {
   /// Instruction fetch at `addr` (L1I -> L2 -> L3 -> DRAM; no DTLB).
   MemAccess ifetch(std::uint64_t addr, std::uint64_t now);
 
-  /// Number of fill buffers busy at cycle `now` (pending L1D misses).
-  int pending_misses(std::uint64_t now) const;
+  /// Fill buffers busy at one cycle (pending L1D misses).
+  struct PendingMisses {
+    int count = 0;
+    MemLevel deepest = MemLevel::kL1;  // kL1 if none
+  };
 
-  /// Deepest level any pending miss at `now` is waiting on (kL1 if none).
-  MemLevel deepest_pending(std::uint64_t now) const;
+  /// The misses pending at cycle `now`. The core asks every cycle; the
+  /// answer is cached until the next miss completes or a load changes the
+  /// fill buffers, so a stalled cycle does not rescan them.
+  PendingMisses pending(std::uint64_t now) const;
+
+  int pending_misses(std::uint64_t now) const { return pending(now).count; }
+  MemLevel deepest_pending(std::uint64_t now) const {
+    return pending(now).deepest;
+  }
 
   /// Evicts roughly `lines` recently used L1I/L1D lines (an interrupt
   /// handler's cache footprint). TLBs are untouched.
@@ -84,6 +94,11 @@ class MemoryHierarchy {
   Cache l3_;
   Cache dtlb_;
   std::vector<PendingMiss> mshrs_;
+  // pending() for every cycle in [pending_from_, pending_until_); loads
+  // that touch mshrs_ empty the range.
+  mutable PendingMisses pending_;
+  mutable std::uint64_t pending_from_ = 0;
+  mutable std::uint64_t pending_until_ = 0;
   std::vector<PendingMiss> prefetches_;  // in-flight prefetched lines
   std::uint64_t dram_next_free_ = 0;
   std::uint64_t pollute_cursor_ = 0;

@@ -27,6 +27,16 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
 ProfileStream::ProfileStream(const WorkloadProfile& profile)
     : profile_(profile), rng_(profile.seed) {
   body_sites_ = std::max<std::uint64_t>(profile_.code_footprint_bytes / 4, 8);
+  // Per-site behaviour: a branch_entropy fraction of branch sites flip
+  // coins; the rest are strongly biased.
+  const auto random_cutoff =
+      static_cast<std::uint64_t>(profile_.branch_entropy * 1024.0);
+  sites_.resize(body_sites_);
+  for (std::uint64_t site = 0; site < body_sites_; ++site) {
+    sites_[site].cls = class_at(site);
+    sites_[site].random_branch =
+        (mix(profile_.seed ^ 0xb7, site) % 1024) < random_cutoff;
+  }
 }
 
 void ProfileStream::reset() {
@@ -86,12 +96,12 @@ bool ProfileStream::next(MacroOp& op) {
   ++emitted_;
 
   const std::uint64_t site = site_;
-  site_ = (site_ + 1) % body_sites_;
+  if (++site_ == body_sites_) site_ = 0;
   if (last_load_ago_ >= 0) ++last_load_ago_;
 
   op = MacroOp{};
   op.pc = kCodeBase + site * 4;
-  op.cls = class_at(site);
+  op.cls = sites_[site].cls;
   op.uop_count = 1;
 
   switch (op.cls) {
@@ -118,12 +128,8 @@ bool ProfileStream::next(MacroOp& op) {
         op.taken = emitted_ < profile_.instruction_count;
         op.target = kCodeBase;
       } else {
-        // Per-site behaviour: a branch_entropy fraction of sites flip
-        // coins; the rest are strongly biased.
-        const bool random_site =
-            (mix(profile_.seed ^ 0xb7, site) % 1024) <
-            static_cast<std::uint64_t>(profile_.branch_entropy * 1024.0);
-        op.taken = random_site ? rng_.chance(0.5) : rng_.chance(0.97);
+        op.taken = sites_[site].random_branch ? rng_.chance(0.5)
+                                              : rng_.chance(0.97);
         op.target = op.pc + 16;
       }
       break;

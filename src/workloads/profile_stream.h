@@ -9,6 +9,8 @@
 // RNG, so the stream is reproducible end to end.
 #pragma once
 
+#include <vector>
+
 #include "sim/types.h"
 #include "util/rng.h"
 #include "workloads/profile.h"
@@ -25,10 +27,17 @@ class ProfileStream final : public sim::InstructionStream {
   const WorkloadProfile& profile() const { return profile_; }
 
  private:
+  /// What every iteration repeats at one site, computed once per stream.
+  struct Site {
+    sim::OpClass cls = sim::OpClass::kAluInt;
+    bool random_branch = false;  // a coin-flip (not biased) branch site
+  };
+
   sim::OpClass class_at(std::uint64_t site) const;
   std::uint64_t next_address();
 
   WorkloadProfile profile_;
+  std::vector<Site> sites_;  // the loop body, indexed by site
   util::Rng rng_;
   std::uint64_t emitted_ = 0;
   std::uint64_t site_ = 0;       // current instruction site within the body

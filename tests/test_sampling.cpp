@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
+#include "pipeline/engine.h"
 #include "workloads/profile_stream.h"
+#include "workloads/suite.h"
 
 namespace spire::sampling {
 namespace {
@@ -190,6 +195,74 @@ TEST(Collector, DefaultsToAllMetricEvents) {
   Dataset d;
   collector.collect(core, d, 120000);
   EXPECT_EQ(d.metrics().size(), counters::metric_events().size());
+}
+
+// Bit-identity pin for the simulator: a handful of suite workloads are
+// collected at reduced length with the benchmark's collector settings and
+// every (metric, t, w, m) sample plus the whole-run counter delta is hashed.
+// The digests were recorded from the simulator before its hot loop was
+// rewritten; any change to the cycle model (ordering of events, the
+// calendar's horizon wrap, cache replacement, the workload stream) moves
+// them. Update them only for an intended change of the simulated machine,
+// and say so where the change is recorded.
+struct Fnv64 {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+std::uint64_t collect_digest(const std::string& name, const std::string& config,
+                             std::uint64_t seed) {
+  CollectorConfig cc;
+  cc.window_cycles = 50'000;
+  cc.slice_cycles = 2'000;
+  cc.group_size = 6;
+  cc.switch_overhead_cycles = 30;
+  pipeline::Engine engine;
+  engine.collect(workloads::find_workload(name, config), cc, 200'000, seed);
+  const auto& ctx = engine.context();
+  Fnv64 fnv;
+  for (const Event metric : ctx.data.metrics()) {
+    fnv.add(static_cast<std::uint64_t>(metric));
+    for (const Sample& s : ctx.data.samples(metric)) {
+      fnv.add(s.t);
+      fnv.add(s.w);
+      fnv.add(s.m);
+    }
+  }
+  for (const std::uint64_t count : ctx.counter_delta->raw()) fnv.add(count);
+  return fnv.h;
+}
+
+TEST(SimGolden, CollectDigestsUnchanged) {
+  struct Case {
+    const char* name;
+    const char* config;
+    std::uint64_t digest;
+  };
+  // Stencil and T5 schedule loads and wake-ups past the calendar horizon;
+  // BLAS CPU runs at high IPC; graph500 is DRAM-bound and mostly idle;
+  // CUTCP is microcoded, locked and divide-heavy; Mobilenet's 3 KiB loop
+  // lives in the LSD.
+  const Case cases[] = {
+      {"parboil", "Stencil", 0x422310dd95003c24ULL},
+      {"onnx", "T5 Encoder, Std.", 0xb2c0640c794ffdacULL},
+      {"arrayfire", "BLAS CPU", 0x3fa362fe132ba18fULL},
+      {"graph500", "Scale: 29", 0xca53e35a4a76c3d4ULL},
+      {"parboil", "CUTCP", 0xe8f80040840d8c14ULL},
+      {"tensorflow-lite", "Mobilenet Quant", 0x3d9f2610c3ec3b37ULL},
+  };
+  std::uint64_t seed = 7;
+  for (const Case& c : cases) {
+    EXPECT_EQ(collect_digest(c.name, c.config, seed), c.digest)
+        << c.name << " / " << c.config;
+    ++seed;
+  }
 }
 
 }  // namespace

@@ -46,7 +46,10 @@ ctest --test-dir build-check-release --output-on-failure -j "${test_jobs}"
 phase "Sanitized (ASan+UBSan) Debug build + tests"
 cmake -B build-check-sanitize -S . -DCMAKE_BUILD_TYPE=Debug -DSPIRE_SANITIZE=ON
 cmake --build build-check-sanitize -j "${jobs}"
-ctest --test-dir build-check-sanitize --output-on-failure -j "${test_jobs}"
+# The `paper` label (the Table II gate) re-runs the whole suite through the
+# simulator; the Release leg above runs it, the sanitized leg skips it.
+ctest --test-dir build-check-sanitize --output-on-failure -j "${test_jobs}" \
+  -LE paper
 
 phase "Thread-safety static gate (clang++ -Wthread-safety, DESIGN.md §13)"
 # Configuring with SPIRE_THREAD_SAFETY=ON runs the tests/compile_fail/

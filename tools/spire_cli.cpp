@@ -81,7 +81,7 @@
 //   0  success
 //   1  the operation ran and failed (bad data, failed estimate, error
 //      findings, server answered with a non-retryable error)
-//   2  usage error (unknown command, missing/invalid flags)
+//   2  usage error (unknown command or flag, missing/invalid flags)
 //   3  server unavailable: no reply within the retry budget
 //
 // Sample CSVs use the same format Dataset::save_csv writes, so data
@@ -171,16 +171,33 @@ struct Args {
   }
 };
 
-Args parse_args(int argc, char** argv, const std::vector<std::string>& bools) {
+/// One subcommand: its name, the flags it accepts and a handler. Value
+/// flags take the next token; bool flags stand alone. Registration is the
+/// whole dispatch table — adding a command means adding a row.
+struct Command {
+  const char* name;
+  std::vector<std::string> value_flags;
+  std::vector<std::string> bool_flags;
+  int (*run)(const Args&);
+};
+
+/// Any --flag the command does not list is a usage error: taking it as a
+/// value flag would silently swallow the next token (`compile --v3 m.model`
+/// would drop the model path).
+Args parse_args(int argc, char** argv, const Command& cmd) {
+  const auto listed = [](const std::vector<std::string>& keys,
+                         const std::string& key) {
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
+  };
   Args args;
   for (int i = 2; i < argc; ++i) {
     const std::string token = argv[i];
     if (token.rfind("--", 0) == 0) {
       const std::string key = token.substr(2);
-      const bool is_bool =
-          std::find(bools.begin(), bools.end(), key) != bools.end();
-      if (is_bool) {
+      if (listed(cmd.bool_flags, key)) {
         args.flags.emplace_back(key, "true");
+      } else if (!listed(cmd.value_flags, key)) {
+        throw UsageError("unknown flag --" + key + " for " + cmd.name);
       } else if (i + 1 < argc) {
         args.flags.emplace_back(key, argv[++i]);
       } else {
@@ -897,33 +914,47 @@ int cmd_estimate_server(const Args& args) {
   return any_errors ? 1 : 0;
 }
 
-/// One subcommand: its name, the value-less flags it accepts, and a
-/// handler. Registration is the whole dispatch table — adding a command
-/// means adding a row.
-struct Command {
-  const char* name;
-  std::vector<std::string> bool_flags;
-  int (*run)(const Args&);
-};
-
 const std::vector<Command>& commands() {
+  // Flags read through make_engine (--quality, --threads),
+  // resolve_workload (--workload, --config) and client_options (--server,
+  // --retries, --backoff-ms, --seed) are listed with each command using
+  // them.
   static const std::vector<Command> kCommands = {
-      {"suite", {}, cmd_suite},
-      {"collect", {}, cmd_collect},
-      {"train", {"polarity"}, cmd_train},
-      {"analyze", {}, cmd_analyze},
-      {"validate", {}, cmd_validate},
-      {"lint", {"rules"}, cmd_lint},
-      {"compile", {"text"}, cmd_compile},
-      {"profile", {}, cmd_profile},
-      {"registry", {}, cmd_registry},
-      {"estimate", {"binary", "pipeline"}, cmd_estimate},
-      {"show", {}, cmd_show},
-      {"tma", {}, cmd_tma},
-      {"record", {}, cmd_record},
-      {"replay", {}, cmd_replay},
-      {"serve", {"stdio"}, cmd_serve},
-      {"serverctl", {}, cmd_serverctl},
+      {"suite", {}, {}, cmd_suite},
+      {"collect",
+       {"workload", "config", "cycles", "window", "seed", "out", "quality",
+        "threads"},
+       {},
+       cmd_collect},
+      {"train", {"out", "min-samples", "quality", "threads"}, {"polarity"},
+       cmd_train},
+      {"analyze", {"model", "top", "quality", "threads"}, {}, cmd_analyze},
+      {"validate", {"threads"}, {}, cmd_validate},
+      {"lint", {"against"}, {"rules"}, cmd_lint},
+      {"compile", {"out"}, {"text"}, cmd_compile},
+      {"profile", {"out"}, {}, cmd_profile},
+      {"registry", {"registry-root"}, {}, cmd_registry},
+      {"estimate",
+       {"model", "registry", "registry-root", "registry-cache", "quality",
+        "threads", "server", "retries", "backoff-ms", "seed", "deadline-ms",
+        "model-class", "id", "window"},
+       {"binary", "pipeline"},
+       cmd_estimate},
+      {"show", {"model", "metric"}, {}, cmd_show},
+      {"tma", {"workload", "config", "cycles", "seed"}, {}, cmd_tma},
+      {"record", {"workload", "config", "ops", "out"}, {}, cmd_record},
+      {"replay", {"trace", "cycles", "seed"}, {}, cmd_replay},
+      {"serve",
+       {"socket", "registry-root", "registry-cache", "model", "workers",
+        "max-queue", "shard-queue", "shard-batch", "cache-entries",
+        "profile-cache", "drain-timeout-ms", "read-timeout-ms",
+        "write-timeout-ms"},
+       {"stdio"},
+       cmd_serve},
+      {"serverctl",
+       {"server", "retries", "backoff-ms", "seed", "model-class"},
+       {},
+       cmd_serverctl},
   };
   return kCommands;
 }
@@ -979,7 +1010,7 @@ int main(int argc, char** argv) {
   try {
     for (const auto& cmd : commands()) {
       if (command == cmd.name) {
-        return cmd.run(parse_args(argc, argv, cmd.bool_flags));
+        return cmd.run(parse_args(argc, argv, cmd));
       }
     }
     return usage();
